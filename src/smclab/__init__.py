@@ -57,7 +57,6 @@ from .variance import (
     beta_window,
     beta_window_u_integral,
     beta_window_u_integral_numeric,
-    build_window_function,
     correlation_window,
     phi_k_closed,
     recursive_variance_step,

@@ -9,6 +9,11 @@ is bit-identical regardless of worker count or scheduling.
 Tasks are small picklable dataclasses holding only primitives plus a
 JSON-able model reference; workers rebuild the model locally.  Each task
 maps (rows, rng) to a tuple of per-replicate value arrays.
+
+The span tracer ``perfbench/tracer.py`` replaces ``beta0_u_integral``,
+``beta_pair_u_integral``, ``batched_select``, ``section7_pf1``, ``build_model``
+and the five task classes' ``__call__`` on this module, so the engine must look
+them up here, as module globals at call time, or traced runs miss the layer.
 """
 
 from __future__ import annotations
@@ -41,22 +46,39 @@ def stream_rng(seed: int, stream: int, batch: int) -> np.random.Generator:
     )
 
 
-def batched_select(x: np.ndarray, g: np.ndarray, rng: np.random.Generator):
-    """Stratified selection row by row.  Returns (selected, w, cum).
+def running_weights(g: np.ndarray) -> np.ndarray:
+    """Row-wise running sums S_i of w = M g / sum(g), with S_M pinned to M."""
+    cum = np.cumsum(g.shape[1] * g / g.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = g.shape[1]
+    return cum
+
+
+def batched_select(x: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Stratified selection row by row; returns the selected rows.
 
     The per-row binary search is flattened into one global search by
     offsetting each row's cumulative sums and query points into disjoint
     ranges (row r occupies [r (M+1), r (M+1) + M]).
     """
     rows, m = x.shape
-    w = m * g / g.sum(axis=1, keepdims=True)
-    cum = np.cumsum(w, axis=1)
-    cum[:, -1] = m
+    cum = running_weights(g)
     strata = np.arange(1, m + 1, dtype=float)[None, :] - rng.random((rows, m))
     offset = (np.arange(rows, dtype=float) * (m + 1))[:, None]
     flat_idx = np.searchsorted((cum + offset).ravel(), (strata + offset).ravel(), side="left")
     anc = flat_idx.reshape(rows, m) - (np.arange(rows) * m)[:, None]
-    return np.take_along_axis(x, anc, axis=1), w, cum
+    return np.take_along_axis(x, anc, axis=1)
+
+
+def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
+    """Yield f_i f_{i+k} int_0^1 beta_window(k, u, gt_i..gt_{i+k}) du over
+    every window start i, for k = 0..k_max: one (rows, n - k) term at a time,
+    so that no more than one term of the whole population is alive at once."""
+    n = gt.shape[1]
+    cum = np.cumsum(gt, axis=1)
+    yield fv**2 * beta0_u_integral(gt)
+    for k in range(1, k_max + 1):
+        mid = cum[:, k - 1:n - 1] - cum[:, :n - k]
+        yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
 
 
 class _TaskBase:
@@ -85,7 +107,7 @@ class _TaskBase:
         y = None
         for n in range(steps):
             g = model.potential(n).fn(x)
-            y, _, _ = batched_select(x, g, rng)
+            y = batched_select(x, g, rng)
             x = model.kernel(n + 1).sample(y, rng)
         return x, y
 
@@ -137,17 +159,11 @@ class PhiTupleTask(_TaskBase):
     def __call__(self, rows: int, rng: np.random.Generator):
         model = self._model()
         pot = model.potential(0)
-        g_mean = _reference_g_mean(model, 0)
-        k_max = int(math.ceil(pot.ratio() - 1e-12))
+        k_max = correlation_window(0, pot.ratio())
         x = model.sample_positions((rows, k_max + 1), rng)
-        gt = pot.fn(x) / g_mean
+        gt = pot.fn(x) / _reference_g_mean(model, 0)
         fv = np.asarray(model.f(x), dtype=float)
-        cum = np.cumsum(gt, axis=1)
-        total = fv[:, 0] ** 2 * beta0_u_integral(gt[:, 0])
-        for k in range(1, k_max + 1):
-            mid = cum[:, k - 1] - cum[:, 0]
-            total = total + fv[:, 0] * fv[:, k] * beta_pair_u_integral(gt[:, 0], mid, gt[:, k])
-        return (total,)
+        return (sum(term[:, 0] for term in window_kernel_terms(fv, gt, k_max)),)
 
 
 @dataclass(frozen=True)
@@ -164,17 +180,10 @@ class WindowPhiSumTask(_TaskBase):
         m = self.particles
         x, _ = self._advance(rows, self.step, rng)
         pot = model.potential(self.step)
-        g_mean = _reference_g_mean(model, self.step)
-        k_max = correlation_window(0, pot.ratio())
-        gt = pot.fn(x) / g_mean
+        gt = pot.fn(x) / _reference_g_mean(model, self.step)
         fv = np.asarray(model.f(x), dtype=float)
-        cum = np.cumsum(gt, axis=1)
-        total = (fv**2 * beta0_u_integral(gt)).sum(axis=1)
-        for k in range(1, k_max + 1):
-            mid = cum[:, k - 1:m - 1] - cum[:, :m - k]
-            pair = beta_pair_u_integral(gt[:, :m - k], mid, gt[:, k:])
-            total = total + (fv[:, :m - k] * fv[:, k:] * pair).sum(axis=1)
-        return (total / m,)
+        terms = window_kernel_terms(fv, gt, correlation_window(0, pot.ratio()))
+        return (sum(term.sum(axis=1) for term in terms) / m,)
 
 
 @dataclass(frozen=True)
@@ -191,16 +200,9 @@ class Conjecture2Task(_TaskBase):
         model = self._model()
         m = self.particles
         t = self.tuple_size
-        x = model.sample_positions((rows, m), rng)
-        w = cum = None
-        for n in range(self.step):
-            g = model.potential(n).fn(x)
-            y, _, _ = batched_select(x, g, rng)
-            x = model.kernel(n + 1).sample(y, rng)
+        x, _ = self._advance(rows, self.step, rng)
         g = model.potential(self.step).fn(x)
-        w = m * g / g.sum(axis=1, keepdims=True)
-        cum = np.cumsum(w, axis=1)
-        cum[:, -1] = m
+        cum = running_weights(g)
         count = m - t
 
         pos_cum = np.concatenate([np.zeros((rows, 1)), np.cumsum(x, axis=1)], axis=1)

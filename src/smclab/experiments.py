@@ -76,6 +76,8 @@ from .resampling import (
     weight_profile,
 )
 from .variance import (
+    _initial_quad,
+    _step1_recursion_terms,
     beta0,
     beta1,
     beta0_u_integral,
@@ -177,7 +179,10 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
 def load_config(path, **overrides) -> ExperimentConfig:
     """Load a JSON config, validate the schema, apply flag overrides."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidConfig("config must be a JSON object")
     if raw.get("schema") != 1:
@@ -199,12 +204,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidConfig(f"unknown output format {cfg.format!r}")
     if cfg.workers < 1:
         raise InvalidConfig("workers must be >= 1")
+    if cfg.seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {cfg.seed}")
     if cfg.experiment == "beta-table":
         if cfg.table_kind not in ("beta0", "beta1", "phi0", "phik"):
             raise InvalidConfig(f"unknown beta-table kind {cfg.table_kind!r}")
         return
     if cfg.replicates < 100:
         raise InvalidConfig("replicates must be >= 100")
+    if cfg.experiment in ("variance-step0", "variance-step1", "clt") and cfg.replicates2 < 2:
+        raise InvalidConfig(f"replicates2 must be >= 2, got {cfg.replicates2}")
     model = build_model(cfg.model)
     max_step = 2 if cfg.experiment in ("variance-step1", "conjecture2") else 1
     needed = 1 + max(
@@ -275,10 +284,7 @@ def run_conjecture1(cfg: ExperimentConfig) -> ExperimentReport:
                          cfg.replicates, cfg.seed, stream=2, workers=cfg.workers)
     v1 = variance_estimate(t_vals)
     v2 = variance_estimate(h_vals)
-    c1 = section7_constants(1)
-    c0 = section7_constants(0)
-    scale = c1["g_mean"] ** 4
-    correction = c1["mutation_variance"] / (scale * c0["g_mean"])
+    scale, correction = _step1_recursion_terms()
     composite = _shift(v2, correction, 1.0 / scale)
     rep.add("direct_variance", v1)
     rep.add("recursion_estimate", composite)
@@ -313,7 +319,6 @@ def run_variance_step0(cfg: ExperimentConfig) -> ExperimentReport:
     z_vals, = run_stream(PhiTupleTask(cfg.model), cfg.replicates2, cfg.seed,
                          stream=2, workers=cfg.workers)
     s1 = sigma1_sq(model)
-    s1 = s1 if isinstance(s1, float) else s1.point
     excess = _shift(variance_estimate(t_vals), -s1)
     v2 = mean_estimate(z_vals)
     rep.add("selection_variance_excess", excess)
@@ -343,10 +348,7 @@ def run_variance_step1(cfg: ExperimentConfig) -> ExperimentReport:
                          cfg.replicates2, cfg.seed, stream=3, workers=cfg.workers)
     v11 = variance_estimate(v11_vals)
     v12 = variance_estimate(v12_vals)
-    c1 = section7_constants(1)
-    c0 = section7_constants(0)
-    scale = c1["g_mean"] ** 4
-    correction = c1["mutation_variance"] / (scale * c0["g_mean"])
+    scale, correction = _step1_recursion_terms()
     combined = EstimateWithCI(
         point=v11.point - v12.point / scale - correction,
         lo=v11.lo - v12.hi / scale - correction,
@@ -377,11 +379,9 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.model == "section7":
         center = section7_constants(0)["selected_f_mean"]
     else:
-        from .variance import _initial_quad
         pot = model.potential(0)
         center = _initial_quad(model, lambda x: np.asarray(model.f(x)) * pot(x)) / _initial_quad(model, pot)
     s1 = sigma1_sq(model)
-    s1 = s1 if isinstance(s1, float) else s1.point
     s2 = mean_estimate(z_vals)
     samples = t_vals - math.sqrt(cfg.particles) * center
     stat, passed = normality_check(samples, 0.0, s1 + s2.point, alpha=0.05)

@@ -7,8 +7,8 @@ selected population Y_n, the mutated population X_n and the weight profile
 built from g_n(X_n); by convention Y_0 = X_0.
 
 Randomness is derived from a master seed with a counter-based split keyed
-by (step, purpose), so trajectories are bit-reproducible regardless of how
-the work is scheduled:
+by (step, purpose) through the engine's ``stream_rng``, so trajectories are
+bit-reproducible regardless of how the work is scheduled:
 
     purpose 0: initial draws        (step 0 only)
     purpose 1: selection uniforms   (drawn at step n, producing Y_{n+1})
@@ -24,9 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidModel
+from ._engine import stream_rng
+from .errors import InvalidArgument
 from .model import ModelConfig, ParticleSystem, sample_initial, mutate
 from .resampling import WeightProfile, weight_profile, stratified_resample
+from .variance import _reference_g_mean
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,6 @@ class FilterTrajectory:
                 del self.records[s]
 
 
-def _step_rng(seed: int, step: int, purpose: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(step, purpose)))
-    )
-
-
 def run_filter(model: ModelConfig, particles: int, steps: int, seed: int,
                keep_history: bool = True) -> FilterTrajectory:
     """Run ``steps`` selection/mutation rounds from a fresh population.
@@ -87,10 +83,7 @@ def run_filter(model: ModelConfig, particles: int, steps: int, seed: int,
         raise InvalidArgument("particle count must be >= 1")
     if steps < 0:
         raise InvalidArgument("number of steps must be >= 0")
-    try:
-        ratios = [model.potential(n).ratio() for n in range(steps + 1)]
-    except InvalidModel:
-        raise
+    ratios = [model.potential(n).ratio() for n in range(steps + 1)]
     needed = 1 + int(np.ceil(max(ratios)))
     if particles < needed:
         warnings.warn(
@@ -100,15 +93,15 @@ def run_filter(model: ModelConfig, particles: int, steps: int, seed: int,
         )
 
     traj = FilterTrajectory(model=model, particles=particles, seed=seed, keep_history=keep_history)
-    ps = sample_initial(model, particles, _step_rng(seed, 0, 0))
+    ps = sample_initial(model, particles, stream_rng(seed, 0, 0))
     traj._add(StepRecord(step=0, selected=ps.positions, mutated=ps.positions,
                          profile=weight_profile(ps.potentials)))
     for n in range(steps):
         prof = traj.record(n).profile
-        sel = stratified_resample(prof, _step_rng(seed, n, 1), positions=traj.record(n).mutated)
+        sel = stratified_resample(prof, stream_rng(seed, n, 1), positions=traj.record(n).mutated)
         selected_ps = ParticleSystem(model=model, positions=sel.positions,
                                      potentials=np.empty(0), generation=n)
-        mutated = mutate(selected_ps, None, _step_rng(seed, n + 1, 2))
+        mutated = mutate(selected_ps, None, stream_rng(seed, n + 1, 2))
         traj._add(StepRecord(step=n + 1, selected=sel.positions, mutated=mutated.positions,
                              profile=weight_profile(mutated.potentials)))
     return traj
@@ -167,8 +160,6 @@ def conjecture2_rhs(traj: FilterTrajectory, step: int, t: int, h: Callable,
     ``g_mean`` defaults to the model's weighted reference mean of the
     step's potential (closed form for the built-in model).
     """
-    from .variance import _reference_g_mean
-
     m = traj.particles
     if t < 0 or t >= m:
         raise InvalidArgument(f"tuple size t must satisfy 0 <= t <= M-1, got {t}")

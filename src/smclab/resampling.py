@@ -69,7 +69,10 @@ def weight_profile(g_values) -> WeightProfile:
     if not np.all(g > 0.0) or not np.all(np.isfinite(g)):
         raise InvalidModel("potential values must be finite and strictly positive")
     m = len(g)
-    w = m * g / g.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = m * g / g.sum()
+    if not np.all(np.isfinite(w)):
+        raise InvalidModel("normalized weights overflow; rescale the potential values")
     cum = kahan_cumsum(w)
     cum[-1] = float(m)
 

@@ -43,26 +43,21 @@ from .model import ModelConfig, section7_constants, weighted_reference_mean
 # kernels
 # ---------------------------------------------------------------------------
 
-def beta0(x, y1, clamp: bool = False):
+def beta0(x, y1):
     """Single-stratum variance kernel.
 
     beta0(x, y) = {x+y}(1-{x+y}) + x(1-x) - 2x(1-x-y) 1{y < 1-x}
 
-    where {.} is the fractional part.  Continuous in both arguments.  With
-    ``clamp=True`` the arguments are first mapped through x -> min(max(x,0),1)
-    and y -> max(y,0), which makes the kernel globally bounded.
+    where {.} is the fractional part.  Continuous in both arguments.
     """
     x = np.asarray(x, dtype=float)
     y1 = np.asarray(y1, dtype=float)
-    if clamp:
-        x = np.clip(x, 0.0, 1.0)
-        y1 = np.maximum(y1, 0.0)
     v = snapped_frac(x + y1)
     r = v * (1.0 - v) + x * (1.0 - x) - 2.0 * x * (1.0 - x - y1) * (y1 < 1.0 - x)
     return r if r.shape else float(r)
 
 
-def beta1(x, y1, y2, y3, clamp: bool = False):
+def beta1(x, y1, y2, y3):
     """Pair covariance kernel for strata separated by a middle mass y2.
 
     beta1(x, y1, y2, y3) = 2 [ {x+y1}(1-{x+y1}-y2)       1{y2 < 1-{x+y1}}
@@ -77,11 +72,6 @@ def beta1(x, y1, y2, y3, clamp: bool = False):
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     y3 = np.asarray(y3, dtype=float)
-    if clamp:
-        x = np.clip(x, 0.0, 1.0)
-        y1 = np.maximum(y1, 0.0)
-        y2 = np.maximum(y2, 0.0)
-        y3 = np.maximum(y3, 0.0)
     v = snapped_frac(x + y1)
     r = 2.0 * (
         v * (1.0 - v - y2) * (y2 < 1.0 - v)
@@ -261,33 +251,6 @@ def strata_overlap(s_indices, u: float, y, i_max: int) -> float:
     return total
 
 
-def build_window_function(f: Callable, gtilde: Callable, ratio: float) -> Callable:
-    """Aggregate window test function on tuples of W+1 positions,
-    W = correlation_window(0, ratio):
-
-        F(x_0..x_W) = sum_{k=0}^{W} f(x_0) f(x_k)
-                        int_0^1 beta_window(k, u, gtilde(x_0..x_k)) du
-
-    The inner integral is evaluated with the closed forms.  Its sliding-
-    window empirical mean over a mutated population estimates the
-    selection-noise contribution of the next step.
-    """
-    window = correlation_window(0, ratio)
-
-    def evaluate(xs) -> float:
-        xs = np.asarray(xs, dtype=float)
-        if len(xs) != window + 1:
-            raise InvalidArgument(f"window function needs {window + 1} positions, got {len(xs)}")
-        fv = np.asarray(f(xs), dtype=float)
-        gv = np.asarray(gtilde(xs), dtype=float)
-        total = 0.0
-        for k in range(window + 1):
-            total += float(phi_k_closed(k, fv[:k + 1], gv[:k + 1]))
-        return total
-
-    return evaluate
-
-
 # ---------------------------------------------------------------------------
 # asymptotic variance components
 # ---------------------------------------------------------------------------
@@ -314,17 +277,25 @@ def _reference_g_mean(model: ModelConfig, step: int) -> float:
     return weighted_reference_mean(model, step, model.potential(step).fn)
 
 
+def _step1_recursion_terms() -> tuple[float, float]:
+    """Scale m_g^4 and mutation correction E[g_0 (P f^2 - (P f)^2)] /
+    (m_g^4 m_{g,0}) of the built-in model's step-1 variance recursion."""
+    c1 = section7_constants(1)
+    c0 = section7_constants(0)
+    scale = c1["g_mean"] ** 4
+    return scale, c1["mutation_variance"] / (scale * c0["g_mean"])
+
+
 def _initial_quad(model: ModelConfig, h: Callable, points: int = 256) -> float:
-    if model.initial_density is None:
-        raise NotImplementedError("model has no initial density for quadrature")
+    if model.initial_density is None or model.dim != 1:
+        raise NotImplementedError("quadrature needs a d = 1 model with an initial density")
     nodes, weights = gauss_legendre(points)
     lo, hi = model.initial_support
     x = lo + (hi - lo) * nodes
     return float((hi - lo) * np.dot(weights, model.initial_density(x) * np.asarray(h(x), dtype=float)))
 
 
-def sigma1_sq(model: ModelConfig, f: Optional[Callable] = None,
-              n_samples: int = 200_000, rng: Optional[np.random.Generator] = None):
+def sigma1_sq(model: ModelConfig, f: Optional[Callable] = None) -> float:
     """Weighted-mean fluctuation variance at step 0.
 
     With gt = g_0 / E g_0 normalized under the initial law eta:
@@ -332,25 +303,15 @@ def sigma1_sq(model: ModelConfig, f: Optional[Callable] = None,
         sigma1_sq = E[ ( gt(X) (f(X) - E[f gt]) )^2 ]
 
     Closed form for the built-in model, Gauss-Legendre quadrature for any
-    d = 1 model with a density, otherwise a Monte Carlo fallback that
-    returns an :class:`EstimateWithCI` instead of a float.
+    other d = 1 model with a density.
     """
     f = model.f if f is None else f
     if model.name == "section7" and f is model.f:
         return section7_constants(0)["sigma1_sq"]
     g = model.potential(0)
-    if model.initial_density is not None and model.dim == 1:
-        g_mean = _initial_quad(model, g)
-        fg_mean = _initial_quad(model, lambda x: np.asarray(f(x)) * g(x)) / g_mean
-        val = _initial_quad(model, lambda x: (g(x) / g_mean * (np.asarray(f(x)) - fg_mean)) ** 2)
-        return float(val)
-    rng = np.random.default_rng(0) if rng is None else rng
-    x = model.sample_positions((n_samples,), rng)
-    gv = g(x)
-    fv = np.asarray(f(x), dtype=float)
-    gt = gv / gv.mean()
-    est = mean_estimate((gt * (fv - np.mean(fv * gt) / np.mean(gt))) ** 2)
-    return est
+    g_mean = _initial_quad(model, g)
+    fg_mean = _initial_quad(model, lambda x: np.asarray(f(x)) * g(x)) / g_mean
+    return _initial_quad(model, lambda x: (g(x) / g_mean * (np.asarray(f(x)) - fg_mean)) ** 2)
 
 
 def sigma2_sq(model: ModelConfig, method: str = "closed_form_mc",
@@ -376,29 +337,20 @@ def sigma2_sq(model: ModelConfig, method: str = "closed_form_mc",
     f = model.f if f is None else f
     rng = np.random.default_rng(0) if rng is None else rng
     pot = model.potential(0)
-    if model.name == "section7":
-        g_mean = section7_constants(0)["g_mean"]
-    elif model.initial_density is not None and model.dim == 1:
-        g_mean = _initial_quad(model, pot)
-    else:
-        x = model.sample_positions((200_000,), rng)
-        g_mean = float(pot(x).mean())
-    k_max = int(math.ceil(pot.ratio() - 1e-12))
+    k_max = correlation_window(0, pot.ratio())
 
     x = model.sample_positions((n_samples, k_max + 1), rng)
-    gt = pot(x) / g_mean
+    gt = pot(x) / _reference_g_mean(model, 0)
     fv = np.asarray(f(x), dtype=float)
-    mid_cum = np.cumsum(gt, axis=1)
 
-    per_k_samples = []
     if method == "closed_form_mc":
-        per_k_samples.append(fv[:, 0] ** 2 * beta0_u_integral(gt[:, 0]))
-        for k in range(1, k_max + 1):
-            mid = mid_cum[:, k - 1] - mid_cum[:, 0]
-            per_k_samples.append(fv[:, 0] * fv[:, k] * beta_pair_u_integral(gt[:, 0], mid, gt[:, k]))
+        from ._engine import window_kernel_terms
+
+        per_k_samples = [term[:, 0] for term in window_kernel_terms(fv, gt, k_max)]
     else:
+        mid_cum = np.cumsum(gt, axis=1)
         uu = rng.random(n_samples)
-        per_k_samples.append(fv[:, 0] ** 2 * beta0(uu, gt[:, 0]))
+        per_k_samples = [fv[:, 0] ** 2 * beta0(uu, gt[:, 0])]
         for k in range(1, k_max + 1):
             mid = mid_cum[:, k - 1] - mid_cum[:, 0]
             per_k_samples.append(-fv[:, 0] * fv[:, k] * beta1(uu, gt[:, 0], mid, gt[:, k]))
@@ -406,7 +358,6 @@ def sigma2_sq(model: ModelConfig, method: str = "closed_form_mc",
     per_k = tuple(mean_estimate(s) for s in per_k_samples)
     total_est = mean_estimate(np.sum(per_k_samples, axis=0))
     s1 = sigma1_sq(model, None if f is model.f else f)
-    s1 = s1 if isinstance(s1, float) else s1.point
     return VarianceReport(sigma1_sq=s1, sigma2_sq=total_est, per_k=per_k)
 
 
@@ -432,15 +383,11 @@ def recursive_variance_step(v_prev: float, model: ModelConfig, step: int,
         raise InvalidArgument("recursive variance step needs step >= 1")
     from ._engine import WindowPhiSumTask, run_stream
 
-    if model.name == "section7" and step == 1:
-        c1 = section7_constants(1)
-        c0 = section7_constants(0)
-        m_g4 = c1["g_mean"] ** 4
-        term2 = c1["mutation_variance"] / (m_g4 * c0["g_mean"])
-    else:
+    if model.name != "section7" or step != 1:
         raise NotImplementedError(
             "recursive variance step currently requires the built-in model at step 1"
         )
+    m_g4, term2 = _step1_recursion_terms()
     task = WindowPhiSumTask(model_ref=model.spec, particles=mc_particles, step=step)
     (z,) = run_stream(task, mc_replicates, seed=seed, stream=90 + step, workers=workers)
     return v_prev / m_g4 + term2 + float(z.mean())

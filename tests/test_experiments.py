@@ -76,6 +76,10 @@ def test_validate_config_invariants():
         validate_config(default_config("conjecture1", model=FLAT_MODEL))
     with pytest.raises(InvalidConfig):
         validate_config(default_config("clt", format="yaml"))
+    with pytest.raises(InvalidConfig):
+        validate_config(default_config("clt", seed=-1))
+    with pytest.raises(InvalidConfig):
+        validate_config(default_config("variance-step0", replicates2=1))
     validate_config(default_config("variance-step0", model=FLAT_MODEL, particles=300,
                                    replicates=200, replicates2=200))
 
@@ -218,3 +222,15 @@ def test_cli_config_and_errors(tmp_path):
 
     proc = _run_cli("variance-step0", "--replicates", "10")
     assert proc.returncode == 1
+
+    # bad input fails before any stream runs, with a message and no traceback
+    cfgfile.write_text('{"schema": 1, "experiment": "clt", "par')
+    bad_inputs = [
+        ("clt", "--config", str(cfgfile)),
+        ("variance-step0", "--seed", "-1", "--particles", "300", "--replicates", "200"),
+        ("variance-step1", "--particles", "300", "--replicates", "200", "--replicates2", "1"),
+    ]
+    for args in bad_inputs:
+        proc = _run_cli(*args)
+        assert proc.returncode == 1, args
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr

@@ -66,6 +66,9 @@ def test_profile_rejects_bad_input():
         weight_profile([1.0, -2.0])
     with pytest.raises(InvalidArgument):
         weight_profile([])
+    # finite values whose sum overflows
+    with pytest.raises(InvalidModel):
+        weight_profile([1e308, 1e308, 1.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,6 +123,26 @@ def test_merge_walk_matches_binary_search(rng):
         pts = np.arange(1, prof.size + 1) - rng.random(prof.size)
         assert np.array_equal(_ancestors_for_points(prof.cum, pts),
                               _ancestors_merge_walk(prof.cum, pts))
+
+
+@pytest.mark.parametrize("weights, rows, m", [
+    ("section7", 64, 2000), ("ratio-1e3", 64, 2000), ("section7", 16, 10_000),
+])
+def test_engine_selection_matches_library(model, weights, rows, m):
+    """The engine's flattened row-wise search samples the law the library
+    proves: on shared uniforms both select the same ancestors."""
+    from smclab._engine import batched_select, stream_rng
+
+    x = model.sample_positions((rows, m), stream_rng(3, 0, 1))
+    g = model.potential(0)(x) if weights == "section7" else np.exp(6.9 * x)
+    got = batched_select(np.tile(np.arange(m), (rows, 1)), g, stream_rng(3, 0, 0))
+    # row r of the engine consumes the r-th block of M uniforms of the stream
+    lib_rng = stream_rng(3, 0, 0)
+    mismatches = sum(
+        int(np.count_nonzero(got[r] != stratified_resample(weight_profile(g[r]), lib_rng).ancestors))
+        for r in range(rows)
+    )
+    assert mismatches == 0
 
 
 def test_stratified_unbiasedness(rng):

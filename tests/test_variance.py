@@ -13,7 +13,6 @@ from smclab import (
     beta_window_u_integral,
     beta_window_u_integral_numeric,
     build_custom_model,
-    build_window_function,
     conditional_variance_exact,
     correlation_window,
     phi_k_closed,
@@ -52,13 +51,6 @@ def test_beta0_continuity(rng):
     y = rng.uniform(0.0, 3.0, 300)
     jump = np.abs(beta0(x + h, y) - beta0(x, y))
     assert np.max(jump) <= 10.0 * h
-
-
-def test_clamped_kernels_bounded(rng):
-    x = rng.uniform(-1.0, 2.0, 20_000)
-    ys = rng.uniform(-1.0, 4.0, (3, 20_000))
-    assert np.max(np.abs(beta0(x, ys[0], clamp=True))) <= 2.0
-    assert np.max(np.abs(beta1(x, ys[0], ys[1], ys[2], clamp=True))) <= 8.0
 
 
 def test_beta_window_delegation():
@@ -210,21 +202,23 @@ def test_expected_conditional_variance_converges_to_sigma2(model):
     assert abs(got.point - ref.point) < 3 * (got.half_width + ref.half_width)
 
 
-def test_build_window_function(model, rng):
-    gt = lambda x: np.exp(x) / (E - 1.0)
-    fn = build_window_function(np.exp, gt, E)
-    xs = rng.random(4)
-    # against the numeric integration route
-    expected = 0.0
-    for k in range(4):
-        f_vals = np.exp(xs[:k + 1])
-        g_vals = gt(xs[:k + 1])
-        expected += f_vals[0] * f_vals[-1] * beta_window_u_integral_numeric(k, g_vals)
-    assert fn(xs) == pytest.approx(expected, abs=1e-9)
-    zero_fn = build_window_function(lambda x: np.zeros_like(np.asarray(x, dtype=float)), gt, E)
-    assert zero_fn(xs) == 0.0
-    with pytest.raises(InvalidArgument):
-        fn(xs[:3])
+def test_window_kernel_terms_against_numeric(rng):
+    """Every window start of every term of the engine's window-kernel
+    evaluator against the numeric integration route."""
+    from smclab._engine import window_kernel_terms
+
+    xs = rng.random((2, 6))
+    fv = np.exp(xs)
+    gt = np.exp(xs) / (E - 1.0)
+    terms = list(window_kernel_terms(fv, gt, 3))
+    assert [t.shape for t in terms] == [(2, 6), (2, 5), (2, 4), (2, 3)]
+    for k, term in enumerate(terms):
+        for r in range(2):
+            for i in range(6 - k):
+                expected = fv[r, i] * fv[r, i + k] * beta_window_u_integral_numeric(k, gt[r, i:i + k + 1])
+                assert term[r, i] == pytest.approx(expected, abs=1e-9)
+    zero = np.zeros_like(fv)
+    assert all(np.all(t == 0.0) for t in window_kernel_terms(zero, gt, 3))
 
 
 def test_recursive_variance_step(model):
