@@ -34,15 +34,14 @@ from .model import (
     weighted_reference_mean,
 )
 from .resampling import (
-    ResampleOutcome,
     SelectionCoefficients,
     WeightProfile,
-    baseline_resample,
     conditional_mean,
     conditional_variance_exact,
     conditional_variance_oracle,
     multinomial_conditional_variance,
     residual_conditional_variance,
+    resample,
     selection_coefficients,
     stratified_resample,
     systematic_conditional_variance,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import build_model, section7_pf1
+from .resampling import ancestors
 from .variance import (
     beta0_u_integral,
     beta_pair_u_integral,
@@ -56,17 +57,16 @@ def running_weights(g: np.ndarray) -> np.ndarray:
 def batched_select(x: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Stratified selection row by row; returns the selected rows.
 
-    The per-row binary search is flattened into one global search by
-    offsetting each row's cumulative sums and query points into disjoint
-    ranges (row r occupies [r (M+1), r (M+1) + M]).
+    Row r draws the r-th block of M uniforms and searches its own running
+    sums with the library's row-wise ``ancestors``.  The running sums are
+    plain ``np.cumsum`` rather than the library's compensated ones, so a row
+    agrees with ``stratified_resample`` on the same draws up to their
+    rounding.
     """
     rows, m = x.shape
     cum = running_weights(g)
     strata = np.arange(1, m + 1, dtype=float)[None, :] - rng.random((rows, m))
-    offset = (np.arange(rows, dtype=float) * (m + 1))[:, None]
-    flat_idx = np.searchsorted((cum + offset).ravel(), (strata + offset).ravel(), side="left")
-    anc = flat_idx.reshape(rows, m) - (np.arange(rows) * m)[:, None]
-    return np.take_along_axis(x, anc, axis=1)
+    return np.take_along_axis(x, ancestors(cum, strata), axis=1)
 
 
 def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
@@ -186,6 +186,12 @@ class WindowPhiSumTask(_TaskBase):
         return (sum(term.sum(axis=1) for term in terms) / m,)
 
 
+def _window_sums(cum: np.ndarray, t: int) -> np.ndarray:
+    """Row-wise a_i + ... + a_{i+t} for i = 0..M-t-1, from running sums of a."""
+    padded = np.concatenate([np.zeros((len(cum), 1)), cum], axis=1)
+    return padded[:, t + 1:] - padded[:, :cum.shape[1] - t]
+
+
 @dataclass(frozen=True)
 class Conjecture2Task(_TaskBase):
     """Windowed sum statistic with actual bookkeeping (lhs) and with its
@@ -202,20 +208,12 @@ class Conjecture2Task(_TaskBase):
         t = self.tuple_size
         x, _ = self._advance(rows, self.step, rng)
         g = model.potential(self.step).fn(x)
+        h = _window_sums(np.cumsum(x, axis=1), t)
         cum = running_weights(g)
-        count = m - t
+        u_prev = np.mod(np.concatenate([np.zeros((rows, 1)), cum[:, :m - t - 1]], axis=1), 1.0)
+        lhs = (h * (u_prev + _window_sums(cum, t))).sum(axis=1) / m
 
-        pos_cum = np.concatenate([np.zeros((rows, 1)), np.cumsum(x, axis=1)], axis=1)
-        h = pos_cum[:, t + 1:] - pos_cum[:, :count]
-
-        u_prev = np.mod(np.concatenate([np.zeros((rows, 1)), cum[:, :count - 1]], axis=1), 1.0)
-        w_cum = np.concatenate([np.zeros((rows, 1)), cum], axis=1)
-        w_win = w_cum[:, t + 1:] - w_cum[:, :count]
-        lhs = (h * (u_prev + w_win)).sum(axis=1) / m
-
-        g_mean = _reference_g_mean(model, self.step)
-        gt_cum = np.concatenate([np.zeros((rows, 1)), np.cumsum(g / g_mean, axis=1)], axis=1)
-        gt_win = gt_cum[:, t + 1:] - gt_cum[:, :count]
+        gt_win = _window_sums(np.cumsum(g / _reference_g_mean(model, self.step), axis=1), t)
         u_fresh = rng.random((rows, 1))
         rhs = (h * (u_fresh + gt_win)).sum(axis=1) / m
         return (lhs, rhs)

@@ -67,16 +67,17 @@ from ._engine import (
 )
 from .errors import InvalidConfig
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
-from .model import build_model, section7_constants
+from .model import build_model, section7_constants, weighted_reference_mean
 from .resampling import (
     conditional_variance_exact,
     multinomial_conditional_variance,
+    resample,
     residual_conditional_variance,
     systematic_conditional_variance,
     weight_profile,
 )
 from .variance import (
-    _initial_quad,
+    _reference_g_mean,
     _step1_recursion_terms,
     beta0,
     beta1,
@@ -380,7 +381,8 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
         center = section7_constants(0)["selected_f_mean"]
     else:
         pot = model.potential(0)
-        center = _initial_quad(model, lambda x: np.asarray(model.f(x)) * pot(x)) / _initial_quad(model, pot)
+        fg = weighted_reference_mean(model, 0, lambda x: np.asarray(model.f(x)) * pot(x))
+        center = fg / _reference_g_mean(model, 0)
     s1 = sigma1_sq(model)
     s2 = mean_estimate(z_vals)
     samples = t_vals - math.sqrt(cfg.particles) * center
@@ -393,41 +395,14 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _mc_resample_sums(kind, prof, fv, replicates, rng, block=4096):
-    """Per-replicate sums of f over resampled populations, batched."""
-    m = prof.size
-    strata = np.arange(1, m + 1, dtype=float)
+    """Per-replicate sums of f over resampled populations, ``block`` rows at a time."""
     out = np.empty(replicates)
-    done = 0
-    if kind == "residual":
-        copies = np.floor(prof.w).astype(np.int64)
-        det_sum = float(np.dot(copies, fv))
-        n_res = m - int(copies.sum())
-        resid_cum = np.cumsum(prof.w - copies)
-        if n_res > 0:
-            resid_cum[-1] = float(n_res)
-    while done < replicates:
+    for done in range(0, replicates, block):
         nb = min(block, replicates - done)
-        if kind == "stratified":
-            points = strata[None, :] - rng.random((nb, m))
-            idx = np.searchsorted(prof.cum, points.ravel(), side="left").reshape(nb, m)
-            out[done:done + nb] = fv[idx].sum(axis=1)
-        elif kind == "multinomial":
-            idx = np.searchsorted(prof.cum, m * rng.random((nb, m)).ravel(), side="left").reshape(nb, m)
-            out[done:done + nb] = fv[idx].sum(axis=1)
-        elif kind == "systematic":
-            points = strata[None, :] - rng.random((nb, 1))
-            idx = np.searchsorted(prof.cum, points.ravel(), side="left").reshape(nb, m)
-            out[done:done + nb] = fv[idx].sum(axis=1)
-        elif kind == "residual":
-            if n_res == 0:
-                out[done:done + nb] = det_sum
-            else:
-                idx = np.searchsorted(resid_cum, n_res * rng.random((nb, n_res)).ravel(),
-                                      side="left").reshape(nb, n_res)
-                out[done:done + nb] = det_sum + fv[idx].sum(axis=1)
-        else:
-            raise InvalidConfig(f"unknown resampling kind {kind!r}")
-        done += nb
+        # keeping a block's ancestors until the next block's are drawn stops
+        # the allocator from trimming and faulting in these pages every block
+        anc = resample(kind, prof, rng, rows=nb)
+        out[done:done + nb] = fv[anc].sum(axis=1)
     return out
 
 

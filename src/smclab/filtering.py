@@ -98,11 +98,11 @@ def run_filter(model: ModelConfig, particles: int, steps: int, seed: int,
                          profile=weight_profile(ps.potentials)))
     for n in range(steps):
         prof = traj.record(n).profile
-        sel = stratified_resample(prof, stream_rng(seed, n, 1), positions=traj.record(n).mutated)
-        selected_ps = ParticleSystem(model=model, positions=sel.positions,
+        selected = traj.record(n).mutated[stratified_resample(prof, stream_rng(seed, n, 1))]
+        selected_ps = ParticleSystem(model=model, positions=selected,
                                      potentials=np.empty(0), generation=n)
         mutated = mutate(selected_ps, None, stream_rng(seed, n + 1, 2))
-        traj._add(StepRecord(step=n + 1, selected=sel.positions, mutated=mutated.positions,
+        traj._add(StepRecord(step=n + 1, selected=selected, mutated=mutated.positions,
                              profile=weight_profile(mutated.potentials)))
     return traj
 

@@ -18,6 +18,11 @@ terms of the beta kernels of :mod:`smclab.variance` -- see
 :func:`conditional_variance_exact`.  The q-matrix route
 (:func:`conditional_variance_oracle`) recomputes the same variance directly
 from the conditional law and serves as an independent cross-check.
+
+Every scheme samples through :func:`resample`: stratified (the paper's
+scheme), systematic, multinomial and residual draw their query points and
+map them to ancestors with the one right-closed search :func:`ancestors`,
+which also serves the engine's row-wise selection.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from ._numerics import SNAP_TOL, kahan_cumsum
 from .errors import InvalidArgument, InvalidModel
 from .variance import beta0, beta1
 
-RESAMPLING_KINDS = ("multinomial", "residual", "systematic")
+SCHEMES = ("stratified", "systematic", "multinomial", "residual")
 
 
 @dataclass(frozen=True)
@@ -89,79 +94,57 @@ def weight_profile(g_values) -> WeightProfile:
     return WeightProfile(w=w, cum=cum, u=u, mu=mu)
 
 
-@dataclass(frozen=True)
-class ResampleOutcome:
-    """Ancestor indices (0-based) and, when positions were given, the
-    resampled positions."""
+def ancestors(cum, points) -> np.ndarray:
+    """Ancestor of each query point, right-closed: S_{l-1} < p <= S_l.
 
-    ancestors: np.ndarray
-    positions: Optional[np.ndarray] = None
-
-
-def _outcome(ancestors, positions):
-    pos = None if positions is None else np.asarray(positions)[ancestors]
-    return ResampleOutcome(ancestors=ancestors, positions=pos)
-
-
-def _ancestors_for_points(cum, points):
-    """Ancestor of each query point, right-closed: S_{l-1} < p <= S_l."""
-    return np.searchsorted(cum, points, side="left")
+    A 1-d ``cum`` is shared by every point.  A (rows, M) ``cum`` is searched
+    row by row against (rows, K) ``points``.  Each row is its own search:
+    shifting rows into disjoint ranges of one flat search would round a
+    point just above a running sum onto it and pick the lower ancestor.
+    """
+    if cum.ndim == 1:
+        return np.searchsorted(cum, points, side="left")
+    return np.stack([np.searchsorted(c, p, side="left") for c, p in zip(cum, points)])
 
 
-def _ancestors_merge_walk(cum, points):
-    """O(M) merge walk over sorted query points; debug oracle for the
-    binary search.  Both resolve ties identically (right-closed)."""
-    anc = np.empty(len(points), dtype=np.int64)
-    j = 0
-    for i, p in enumerate(points):
-        while cum[j] < p:
-            j += 1
-        anc[i] = j
-    return anc
+def resample(kind: str, profile: WeightProfile, rng: np.random.Generator,
+             rows: Optional[int] = None) -> np.ndarray:
+    """Ancestor indices (0-based) of one resampling scheme on a profile.
 
-
-def stratified_resample(profile: WeightProfile, rng: np.random.Generator,
-                        positions=None) -> ResampleOutcome:
-    """One uniform per stratum; ancestor of stratum m solves
-    S_{l-1} < m - U_m <= S_l.  Ancestors are non-decreasing in m."""
-    m = profile.size
-    points = np.arange(1, m + 1) - rng.random(m)
-    anc = _ancestors_for_points(profile.cum, points)
-    return _outcome(anc, positions)
-
-
-def baseline_resample(kind: str, profile: WeightProfile, rng: np.random.Generator,
-                      positions=None) -> ResampleOutcome:
-    """Multinomial, residual or systematic resampling on the same profile.
-
+    stratified:  one uniform per stratum; the ancestor of stratum m solves
+                 S_{l-1} < m - U_m <= S_l, so ancestors are non-decreasing.
+    systematic:  a single shared uniform across all strata m - U.
     multinomial: M i.i.d. categorical draws with probabilities w_i / M.
     residual:    floor(w_i) deterministic copies of particle i, then the
                  remaining slots drawn i.i.d. from the fractional parts
-                 {w_i} normalized; degenerate case (no remainder) returns
-                 the deterministic assignment.
-    systematic:  a single shared uniform across all strata m - U.
+                 {w_i} normalized (none when there is no remainder).
+
+    Returns shape (M,), or (rows, M) when ``rows`` is given; row r consumes
+    the r-th block of draws, so ``rows=n`` equals n successive single calls.
     """
     m = profile.size
-    if kind == "multinomial":
-        anc = _ancestors_for_points(profile.cum, m * rng.random(m))
-        return _outcome(anc, positions)
+    lead = () if rows is None else (rows,)
+    strata = np.arange(1, m + 1, dtype=float)
+    if kind == "stratified":
+        return ancestors(profile.cum, strata - rng.random(lead + (m,)))
     if kind == "systematic":
-        points = np.arange(1, m + 1) - rng.random()
-        anc = _ancestors_for_points(profile.cum, points)
-        return _outcome(anc, positions)
+        return ancestors(profile.cum, strata - rng.random(lead + (1,)))
+    if kind == "multinomial":
+        return ancestors(profile.cum, m * rng.random(lead + (m,)))
     if kind == "residual":
         copies = np.floor(profile.w).astype(np.int64)
-        n_det = int(copies.sum())
-        anc = np.repeat(np.arange(m), copies)
-        n_res = m - n_det
-        if n_res > 0:
-            resid = profile.w - copies
-            rcum = kahan_cumsum(resid)
-            rcum[-1] = float(n_res)
-            extra = _ancestors_for_points(rcum, n_res * rng.random(n_res))
-            anc = np.concatenate([anc, extra])
-        return _outcome(anc, positions)
-    raise InvalidArgument(f"unknown resampling kind {kind!r} (expected one of {RESAMPLING_KINDS})")
+        n_res = m - int(copies.sum())
+        rcum = np.cumsum(profile.w - copies)
+        rcum[-1] = float(n_res)
+        extra = ancestors(rcum, n_res * rng.random(lead + (n_res,)))
+        det = np.repeat(np.arange(m), copies)
+        return np.concatenate([np.broadcast_to(det, lead + det.shape), extra], axis=-1)
+    raise InvalidArgument(f"unknown resampling kind {kind!r} (expected one of {SCHEMES})")
+
+
+def stratified_resample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarray:
+    """The paper's scheme: ``resample("stratified", profile, rng)``."""
+    return resample("stratified", profile, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +186,9 @@ def selection_coefficients(profile: WeightProfile) -> SelectionCoefficients:
       q = u_i            for m = mu_i      (when mu_{i-1} < mu_i)
       q = w_i            for m = mu_{i-1} = mu_i
 
-    Strata indices above M (possible only for i = M, where u_M = 0) carry
-    zero mass and are dropped.
+    Strata indices above M carry no mass and are dropped: for i = M the top
+    stratum has u_M = 0, and when S_{M-1} snaps to M the last particle's
+    single entry has w_M < SNAP_TOL.
     """
     m = profile.size
     u, mu, w = profile.u, profile.mu, profile.w
@@ -226,7 +210,7 @@ def selection_coefficients(profile: WeightProfile) -> SelectionCoefficients:
                 rows.append(hi - 1)
                 cols.append(i - 1)
                 vals.append(u[i])
-        else:
+        elif lo <= m:
             rows.append(lo - 1)
             cols.append(i - 1)
             vals.append(w[i - 1])
@@ -323,7 +307,7 @@ def systematic_conditional_variance(profile: WeightProfile, f_values) -> float:
         if b <= a:
             continue
         mid = 0.5 * (a + b)
-        anc = _ancestors_for_points(profile.cum, strata - mid)
+        anc = ancestors(profile.cum, strata - mid)
         s = float(f[anc].sum()) / np.sqrt(m)
         mean += s * (b - a)
         second += s * s * (b - a)

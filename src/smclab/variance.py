@@ -286,15 +286,6 @@ def _step1_recursion_terms() -> tuple[float, float]:
     return scale, c1["mutation_variance"] / (scale * c0["g_mean"])
 
 
-def _initial_quad(model: ModelConfig, h: Callable, points: int = 256) -> float:
-    if model.initial_density is None or model.dim != 1:
-        raise NotImplementedError("quadrature needs a d = 1 model with an initial density")
-    nodes, weights = gauss_legendre(points)
-    lo, hi = model.initial_support
-    x = lo + (hi - lo) * nodes
-    return float((hi - lo) * np.dot(weights, model.initial_density(x) * np.asarray(h(x), dtype=float)))
-
-
 def sigma1_sq(model: ModelConfig, f: Optional[Callable] = None) -> float:
     """Weighted-mean fluctuation variance at step 0.
 
@@ -309,9 +300,10 @@ def sigma1_sq(model: ModelConfig, f: Optional[Callable] = None) -> float:
     if model.name == "section7" and f is model.f:
         return section7_constants(0)["sigma1_sq"]
     g = model.potential(0)
-    g_mean = _initial_quad(model, g)
-    fg_mean = _initial_quad(model, lambda x: np.asarray(f(x)) * g(x)) / g_mean
-    return _initial_quad(model, lambda x: (g(x) / g_mean * (np.asarray(f(x)) - fg_mean)) ** 2)
+    g_mean = _reference_g_mean(model, 0)
+    fg_mean = weighted_reference_mean(model, 0, lambda x: np.asarray(f(x)) * g(x)) / g_mean
+    fluct = lambda x: (g(x) / g_mean * (np.asarray(f(x)) - fg_mean)) ** 2
+    return weighted_reference_mean(model, 0, fluct)
 
 
 def sigma2_sq(model: ModelConfig, method: str = "closed_form_mc",

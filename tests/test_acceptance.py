@@ -21,6 +21,7 @@ from smclab import (
     conditional_variance_oracle,
     mean_estimate,
     normality_check,
+    resample,
     section7_constants,
     selection_coefficients,
     variance_estimate,
@@ -105,8 +106,7 @@ def test_criterion_03_selection_law():
     m = 50
     prof = weight_profile(rng.uniform(1.0, E, m))
     reps = 100_000
-    pts = np.arange(1, m + 1)[None, :] - rng.random((reps, m))
-    anc = np.searchsorted(prof.cum, pts.ravel(), side="left")
+    anc = resample("stratified", prof, rng, rows=reps).ravel()
     counts = np.bincount(anc + m * np.repeat(np.arange(reps), m),
                          minlength=reps * m).reshape(reps, m).astype(float)
     se = counts.std(axis=0) / math.sqrt(reps)

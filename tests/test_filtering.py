@@ -59,7 +59,7 @@ def test_step1_population_means(model):
 
 def test_selection_identity_monte_carlo(model):
     """Fresh selections of a frozen population average to the weighted mean."""
-    from smclab.resampling import stratified_resample
+    from smclab.resampling import resample
     traj = run_filter(model, 200, 1, seed=3)
     rec = traj.record(1)
     prof = rec.profile
@@ -67,9 +67,7 @@ def test_selection_identity_monte_carlo(model):
     target = conditional_mean(prof, fv)
     rng = np.random.default_rng(8)
     reps = 20_000
-    vals = np.empty(reps)
-    for j in range(reps):
-        vals[j] = fv[stratified_resample(prof, rng).ancestors].mean()
+    vals = fv[resample("stratified", prof, rng, rows=reps)].mean(axis=1)
     se = vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - target) < 5 * se
 

@@ -7,20 +7,22 @@ from hypothesis import given, settings, strategies as st
 from smclab import (
     InvalidArgument,
     InvalidModel,
-    baseline_resample,
     conditional_mean,
     conditional_variance_exact,
     conditional_variance_oracle,
     multinomial_conditional_variance,
+    resample,
     residual_conditional_variance,
     selection_coefficients,
     stratified_resample,
     systematic_conditional_variance,
     weight_profile,
 )
-from smclab.resampling import _ancestors_for_points, _ancestors_merge_walk
+from smclab._engine import batched_select, running_weights, stream_rng
+from smclab._numerics import SNAP_TOL
+from smclab.resampling import SCHEMES, ancestors
 
-from conftest import random_profile
+from conftest import ancestors_merge_walk, random_profile
 
 E = math.e
 
@@ -96,50 +98,99 @@ def test_partial_sum_relations(gs):
 def test_stratified_equal_weights_identity(rng):
     prof = weight_profile(np.full(7, 2.5))
     for _ in range(5):
-        out = stratified_resample(prof, rng)
-        assert np.array_equal(out.ancestors, np.arange(7))
+        assert np.array_equal(stratified_resample(prof, rng), np.arange(7))
 
 
 def test_stratified_two_particle_strata():
     prof = weight_profile([3.0, 1.0])
     # stratum 1 always picks particle 0; stratum 2 picks 0 iff 2 - U > 1.5
-    assert _ancestors_for_points(prof.cum, np.array([1 - 0.99, 1 - 0.01])).tolist() == [0, 0]
-    assert _ancestors_for_points(prof.cum, np.array([2 - 0.6])).tolist() == [0]
-    assert _ancestors_for_points(prof.cum, np.array([2 - 0.4])).tolist() == [1]
+    assert ancestors(prof.cum, np.array([1 - 0.99, 1 - 0.01])).tolist() == [0, 0]
+    assert ancestors(prof.cum, np.array([2 - 0.6])).tolist() == [0]
+    assert ancestors(prof.cum, np.array([2 - 0.4])).tolist() == [1]
     # boundary resolved right-closed: query exactly 1.5 belongs to particle 0
-    assert _ancestors_for_points(prof.cum, np.array([1.5])).tolist() == [0]
+    assert ancestors(prof.cum, np.array([1.5])).tolist() == [0]
 
 
 def test_stratified_ancestors_non_decreasing(rng):
     for _ in range(20):
         prof = random_profile(rng)
-        anc = stratified_resample(prof, rng).ancestors
-        assert np.all(np.diff(anc) >= 0)
+        assert np.all(np.diff(stratified_resample(prof, rng)) >= 0)
 
 
 def test_merge_walk_matches_binary_search(rng):
     for _ in range(20):
         prof = random_profile(rng)
         pts = np.arange(1, prof.size + 1) - rng.random(prof.size)
-        assert np.array_equal(_ancestors_for_points(prof.cum, pts),
-                              _ancestors_merge_walk(prof.cum, pts))
+        assert np.array_equal(ancestors(prof.cum, pts), ancestors_merge_walk(prof.cum, pts))
+
+
+@st.composite
+def potentials(draw, m):
+    """Positive potentials of M particles in one of the edge shapes: equal
+    weights, one dominant weight (ratio up to 1e3), trailing normalized
+    weights below SNAP_TOL, or weights spread over a ratio up to 1e3."""
+    shape = draw(st.sampled_from(("equal", "dominant", "tail", "spread")))
+    g = np.ones(m)
+    if shape == "dominant":
+        g[draw(st.integers(0, m - 1))] = draw(st.floats(1.0, 1e3))
+    elif shape == "tail":
+        g[m - draw(st.integers(1, max(1, m - 1))):] = draw(st.floats(1e-18, SNAP_TOL / 100))
+    elif shape == "spread":
+        g = np.array(draw(st.lists(st.floats(1.0, 1e3), min_size=m, max_size=m)))
+    return g
+
+
+@st.composite
+def potential_rows(draw):
+    m = draw(st.integers(1, 24))
+    return np.stack([draw(potentials(m)) for _ in range(draw(st.integers(1, 4)))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=potential_rows(), seed=st.integers(0, 2**32 - 1),
+       on_sums=st.lists(st.integers(0, 23), max_size=4))
+def test_rowwise_ancestors_match_row_search_and_oracle(g, seed, on_sums):
+    """The (rows, M) search equals the per-row search and the merge walk, on
+    stratified points plus points exactly on a running sum."""
+    rows, m = g.shape
+    cum = running_weights(g)
+    strata = np.arange(1, m + 1) - stream_rng(seed, 0, 0).random((rows, m))
+    on_sum = cum[:, [i % m for i in on_sums]]
+    points = np.sort(np.concatenate([strata, on_sum], axis=1), axis=1)
+    got = ancestors(cum, points)
+    for r in range(rows):
+        assert np.array_equal(got[r], ancestors(cum[r], points[r]))
+        assert np.array_equal(got[r], ancestors_merge_walk(cum[r], points[r]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=potential_rows(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       kind=st.sampled_from(SCHEMES))
+def test_resample_rows_equal_successive_calls(g, seed, n, kind):
+    """rows=n draws exactly what n single calls draw, and leaves the
+    generator in the same state."""
+    prof = weight_profile(g[0])
+    batch_rng, single_rng = stream_rng(seed, 0, 0), stream_rng(seed, 0, 0)
+    batch = resample(kind, prof, batch_rng, rows=n)
+    singles = np.stack([resample(kind, prof, single_rng) for _ in range(n)])
+    assert batch.shape == (n, prof.size)
+    assert np.array_equal(batch, singles)
+    assert repr(batch_rng.bit_generator.state) == repr(single_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("weights, rows, m", [
     ("section7", 64, 2000), ("ratio-1e3", 64, 2000), ("section7", 16, 10_000),
 ])
 def test_engine_selection_matches_library(model, weights, rows, m):
-    """The engine's flattened row-wise search samples the law the library
-    proves: on shared uniforms both select the same ancestors."""
-    from smclab._engine import batched_select, stream_rng
-
+    """The engine's row-wise search samples the law the library proves: on
+    shared uniforms both select the same ancestors."""
     x = model.sample_positions((rows, m), stream_rng(3, 0, 1))
     g = model.potential(0)(x) if weights == "section7" else np.exp(6.9 * x)
     got = batched_select(np.tile(np.arange(m), (rows, 1)), g, stream_rng(3, 0, 0))
     # row r of the engine consumes the r-th block of M uniforms of the stream
     lib_rng = stream_rng(3, 0, 0)
     mismatches = sum(
-        int(np.count_nonzero(got[r] != stratified_resample(weight_profile(g[r]), lib_rng).ancestors))
+        int(np.count_nonzero(got[r] != stratified_resample(weight_profile(g[r]), lib_rng)))
         for r in range(rows)
     )
     assert mismatches == 0
@@ -148,8 +199,7 @@ def test_engine_selection_matches_library(model, weights, rows, m):
 def test_stratified_unbiasedness(rng):
     prof = weight_profile(rng.uniform(1.0, E, 30))
     reps = 40_000
-    pts = np.arange(1, 31)[None, :] - rng.random((reps, 30))
-    anc = np.searchsorted(prof.cum, pts.ravel(), side="left").reshape(reps, 30)
+    anc = resample("stratified", prof, rng, rows=reps)
     counts = np.zeros((reps, 30))
     np.add.at(counts, (np.repeat(np.arange(reps), 30), anc.ravel()), 1.0)
     se = counts.std(axis=0) / math.sqrt(reps)
@@ -165,16 +215,13 @@ def test_stratified_unbiasedness(rng):
 def test_baselines_equal_weights(rng):
     prof = weight_profile(np.full(6, 1.0))
     for kind in ("residual", "systematic"):
-        out = baseline_resample(kind, prof, rng)
-        assert sorted(out.ancestors.tolist()) == list(range(6))
+        assert sorted(resample(kind, prof, rng).tolist()) == list(range(6))
 
 
 def test_multinomial_slot_probabilities(rng):
     prof = weight_profile([3.0, 1.0])
     reps = 30_000
-    hits = 0
-    for _ in range(reps):
-        hits += (baseline_resample("multinomial", prof, rng).ancestors == 0).sum()
+    hits = (resample("multinomial", prof, rng, rows=reps) == 0).sum()
     p_hat = hits / (2 * reps)
     se = math.sqrt(0.75 * 0.25 / (2 * reps))
     assert abs(p_hat - 0.75) < 5 * se
@@ -183,16 +230,16 @@ def test_multinomial_slot_probabilities(rng):
 def test_residual_guarantees_and_degenerate(rng):
     prof = weight_profile([3.0, 1.0])
     for _ in range(20):
-        anc = baseline_resample("residual", prof, rng).ancestors
+        anc = resample("residual", prof, rng)
         assert (anc == 0).sum() >= 1
     degenerate = weight_profile(np.full(5, 2.0))
-    anc = baseline_resample("residual", degenerate, rng).ancestors
+    anc = resample("residual", degenerate, rng)
     assert sorted(anc.tolist()) == list(range(5))
 
 
 def test_unknown_kind_rejected(rng):
     with pytest.raises(InvalidArgument):
-        baseline_resample("bogus", weight_profile([1.0, 1.0]), rng)
+        resample("bogus", weight_profile([1.0, 1.0]), rng)
 
 
 def test_unbiasedness_all_schemes(rng):
@@ -203,13 +250,7 @@ def test_unbiasedness_all_schemes(rng):
     target = conditional_mean(prof, fv)
     reps = 10_000
     for kind in ("stratified", "multinomial", "residual", "systematic"):
-        vals = np.empty(reps)
-        for j in range(reps):
-            if kind == "stratified":
-                anc = stratified_resample(prof, rng).ancestors
-            else:
-                anc = baseline_resample(kind, prof, rng).ancestors
-            vals[j] = fv[anc].mean()
+        vals = fv[resample(kind, prof, rng, rows=reps)].mean(axis=1)
         se = vals.std() / math.sqrt(reps)
         assert abs(vals.mean() - target) < 5 * se + 1e-12, kind
 
@@ -237,6 +278,20 @@ def test_coefficient_laws_random(rng):
         assert np.max(np.abs(coeffs.row_sums() - 1.0)) < 1e-12
         assert np.max(np.abs(coeffs.col_sums() - prof.w)) < 1e-12
         assert coeffs.max_row_nnz() <= math.ceil(1.0 + prof.w.max()) + 1
+
+
+@pytest.mark.parametrize("g", [[1.0, 1.0, 1e-15], [5.0, 1e-14]])
+def test_coefficients_tail_snapped_to_m(g):
+    """S_{M-1} within SNAP_TOL of M puts the last particle's single stratum
+    above M; its mass is below SNAP_TOL and is dropped."""
+    prof = weight_profile(g)
+    assert prof.mu[-2] == prof.size + 1
+    coeffs = selection_coefficients(prof)
+    fv = np.arange(prof.size, dtype=float)
+    assert conditional_variance_oracle(coeffs, fv) == pytest.approx(
+        conditional_variance_exact(prof, fv), abs=1e-12)
+    assert np.max(np.abs(coeffs.row_sums() - 1.0)) < 1e-12
+    assert np.max(np.abs(coeffs.col_sums() - prof.w)) < 1e-12
 
 
 def test_conditional_mean_values():
@@ -285,9 +340,7 @@ def test_conditional_variance_against_monte_carlo(rng):
     fv = rng.uniform(-1.0, 1.0, m)
     exact = conditional_variance_exact(prof, fv)
     reps = 100_000
-    pts = np.arange(1, m + 1)[None, :] - rng.random((reps, m))
-    anc = np.searchsorted(prof.cum, pts.ravel(), side="left").reshape(reps, m)
-    sums = fv[anc].sum(axis=1) / math.sqrt(m)
+    sums = fv[resample("stratified", prof, rng, rows=reps)].sum(axis=1) / math.sqrt(m)
     mc = sums.var()
     se = mc * math.sqrt(2.0 / reps)  # variance-of-variance for near-normal sums
     assert abs(mc - exact) < 5 * se
@@ -304,10 +357,7 @@ def test_baseline_exact_variances_against_monte_carlo(rng):
         "systematic": systematic_conditional_variance(prof, fv),
     }
     for kind, target in exact.items():
-        vals = np.empty(reps)
-        for j in range(reps):
-            anc = baseline_resample(kind, prof, rng).ancestors
-            vals[j] = fv[anc].sum() / math.sqrt(m)
+        vals = fv[resample(kind, prof, rng, rows=reps)].sum(axis=1) / math.sqrt(m)
         mc = vals.var()
         tol = 5 * max(mc, 1e-6) * math.sqrt(2.0 / reps) + 5 * abs(vals.mean()) / math.sqrt(reps)
         assert abs(mc - target) < max(tol, 2e-3), kind
