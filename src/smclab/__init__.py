@@ -8,28 +8,16 @@ confidence intervals, and a reproducible config-driven experiment harness.
 
 from .errors import InvalidArgument, InvalidConfig, InvalidModel, SmclabError
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
-from .filtering import (
-    FilterTrajectory,
-    StepRecord,
-    conjecture2_lhs,
-    conjecture2_rhs,
-    k_tuple_mean,
-    run_filter,
-    trajectory_to_csv,
-)
+from .filtering import FilterTrajectory, StepRecord, run_filter
 from .model import (
     KernelSpec,
     ModelConfig,
-    ParticleSystem,
     PotentialSpec,
     build_custom_model,
     build_model,
-    mutate,
-    sample_initial,
     section7_constants,
     section7_model,
     section7_pf1,
-    section7_pf1_sq,
     uniform_shift_kernel,
     weighted_reference_mean,
 )
@@ -53,15 +41,10 @@ from .variance import (
     beta0_u_integral,
     beta1,
     beta_pair_u_integral,
-    beta_window,
-    beta_window_u_integral,
-    beta_window_u_integral_numeric,
     correlation_window,
-    phi_k_closed,
     recursive_variance_step,
     sigma1_sq,
     sigma2_sq,
-    strata_overlap,
 )
 
 __version__ = "0.1.0"

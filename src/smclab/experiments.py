@@ -50,6 +50,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -198,7 +199,28 @@ def load_config(path, **overrides) -> ExperimentConfig:
     return default_config(raw["experiment"], **merged)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# (fields, predicate, what the fields must be)
+_FIELD_TYPES = (
+    (("particles", "replicates", "replicates2", "step", "tuple_size", "seed", "workers"),
+     _is_int, "an integer"),
+    (("table_points",), lambda v: v is None or _is_int(v), "an integer or null"),
+    (("timing",), lambda v: isinstance(v, bool), "true or false"),
+    (("format", "table_kind"), lambda v: isinstance(v, str), "a string"),
+    (("out",), lambda v: v is None or isinstance(v, str), "a string or null"),
+    (("model",), lambda v: isinstance(v, (str, dict)), "a string or an object"),
+)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    for names, ok, expected in _FIELD_TYPES:
+        for name in names:
+            value = getattr(cfg, name)
+            if not ok(value):
+                raise InvalidConfig(f"{name} must be {expected}, got {value!r}")
     if cfg.experiment not in EXPERIMENTS:
         raise InvalidConfig(f"unknown experiment {cfg.experiment!r}")
     if cfg.format not in ("csv", "json"):
@@ -520,21 +542,6 @@ def report_to_csv(report: ExperimentReport) -> str:
             repr(float(r.ci_hi)), r.n_samples, r.particles, r.seed, f"{r.wall_time_s:.3f}",
         ])
     return buf.getvalue()
-
-
-def parse_report_csv(text: str) -> tuple[ReportRow, ...]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise InvalidConfig(f"unexpected CSV header {header!r}")
-    rows = []
-    for rec in reader:
-        rows.append(ReportRow(
-            experiment=rec[0], quantity=rec[1], estimate=float(rec[2]),
-            ci_lo=float(rec[3]), ci_hi=float(rec[4]), n_samples=int(rec[5]),
-            particles=int(rec[6]), seed=int(rec[7]), wall_time_s=float(rec[8]),
-        ))
-    return tuple(rows)
 
 
 def report_to_json(report: ExperimentReport) -> str:

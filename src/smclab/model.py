@@ -1,9 +1,9 @@
 """Model definitions: initial laws, potential functions, mutation kernels.
 
 A model bundles everything the resampling and variance machinery consumes:
-an initial law eta on R^d, positive potential functions g_n with declared
-finite bounds on the reachable support at each step, Markov mutation
-kernels P_n, and a bounded test function f.
+an initial law eta on the real line with a density, positive potential
+functions g_n with declared finite bounds on the reachable support at each
+step, uniform shift mutation kernels P_n, and a bounded test function f.
 
 The built-in ``section7`` model is the canonical benchmark used by the
 experiment harness: d = 1, eta = Uniform(0, 1), P(x, .) = Uniform[x, x + 1]
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from ._numerics import gauss_legendre
-from .errors import InvalidArgument, InvalidModel
+from .errors import InvalidModel
 
 E = math.e
 
@@ -64,40 +64,28 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Markov transition kernel: a sampler plus its action on functions.
+    """Uniform shift kernel P(x, .) = Uniform[x + lo, x + hi].
 
     ``sample(x, rng)`` draws one transition per entry of ``x`` (any shape).
-    ``integrate(h, x)`` evaluates (Ph)(x) = int h(y) P(x, dy).
-    ``shift_bounds`` is set for uniform shift kernels so deterministic
-    quadrature can propagate through them.
+    ``shift_bounds`` = (lo, hi) lets :func:`weighted_reference_mean`
+    propagate quadrature nodes through the kernel.
     """
 
     sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
-    integrate: Callable[[Callable, float], float]
-    shift_bounds: Optional[tuple[float, float]] = None
+    shift_bounds: tuple[float, float]
 
 
-def uniform_shift_kernel(lo: float = 0.0, hi: float = 1.0, quad_points: int = 64) -> KernelSpec:
-    """Kernel P(x, .) = Uniform[x + lo, x + hi].
-
-    The action Ph is computed with ``quad_points`` Gauss-Legendre nodes,
-    which is exact to round-off for the smooth integrands used here.
-    """
+def uniform_shift_kernel(lo: float = 0.0, hi: float = 1.0) -> KernelSpec:
+    """Kernel P(x, .) = Uniform[x + lo, x + hi]."""
     if not hi > lo:
         raise InvalidModel(f"uniform shift kernel needs hi > lo, got [{lo}, {hi}]")
     width = hi - lo
-    nodes, weights = gauss_legendre(quad_points)
 
     def sample(x, rng):
         x = np.asarray(x, dtype=float)
         return x + lo + width * rng.random(x.shape)
 
-    def integrate(h, x):
-        x = np.asarray(x, dtype=float)
-        y = x[..., None] + lo + width * nodes
-        return np.asarray(h(y), dtype=float) @ weights
-
-    return KernelSpec(sample=sample, integrate=integrate, shift_bounds=(lo, hi))
+    return KernelSpec(sample=sample, shift_bounds=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -109,59 +97,14 @@ class ModelConfig:
     """
 
     name: str
-    dim: int
     sample_positions: Callable[[tuple, np.random.Generator], np.ndarray]
-    initial_density: Optional[Callable[[np.ndarray], np.ndarray]]
+    initial_density: Callable[[np.ndarray], np.ndarray]
     initial_support: tuple[float, float]
     potential: Callable[[int], PotentialSpec]
     kernel: Callable[[int], KernelSpec]
     f: Callable[[np.ndarray], np.ndarray]
     f_bound: Callable[[int], float]
     spec: object = "custom"  # JSON-able reference used to rebuild the model in workers
-
-
-@dataclass(frozen=True)
-class ParticleSystem:
-    """Positions with cached potential values at the current generation."""
-
-    model: ModelConfig
-    positions: np.ndarray
-    potentials: np.ndarray
-    generation: int
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
-
-
-def sample_initial(model: ModelConfig, count: int, rng: np.random.Generator) -> ParticleSystem:
-    """Draw ``count`` i.i.d. positions from the initial law, generation 0."""
-    if count < 1:
-        raise InvalidArgument(f"particle count must be >= 1, got {count}")
-    pos = model.sample_positions((count,), rng)
-    g = model.potential(0)(pos)
-    if __debug__:
-        fv = np.asarray(model.f(pos), dtype=float)
-        assert np.all(np.abs(fv) <= model.f_bound(0) + _BOUND_TOL), "test function exceeds declared bound"
-    return ParticleSystem(model=model, positions=pos, potentials=g, generation=0)
-
-
-def mutate(ps: ParticleSystem, kernel: Optional[KernelSpec], rng: np.random.Generator) -> ParticleSystem:
-    """Move every particle independently through the kernel; generation + 1.
-
-    ``kernel=None`` uses the model's kernel for the next step.  Potential
-    values are recomputed with the next step's potential.
-    """
-    if ps.size == 0:
-        raise InvalidArgument("cannot mutate an empty particle system")
-    step = ps.generation + 1
-    k = kernel if kernel is not None else ps.model.kernel(step)
-    pos = k.sample(ps.positions, rng)
-    g = ps.model.potential(step)(pos)
-    if __debug__:
-        fv = np.asarray(ps.model.f(pos), dtype=float)
-        assert np.all(np.abs(fv) <= ps.model.f_bound(step) + _BOUND_TOL), "test function exceeds declared bound"
-    return ParticleSystem(model=ps.model, positions=pos, potentials=g, generation=step)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +130,6 @@ def section7_model() -> ModelConfig:
 
     return ModelConfig(
         name="section7",
-        dim=1,
         sample_positions=sample_positions,
         initial_density=lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0),
         initial_support=(0.0, 1.0),
@@ -265,35 +207,20 @@ def section7_pf1(x):
     )
 
 
-def section7_pf1_sq(x):
-    """Kernel action P(f_1^2) for the benchmark model, in closed form."""
-    c = section7_constants(1)
-    x = np.asarray(x, dtype=float)
-    return (
-        c["g_mean"] ** 2 * (np.exp(4.0 * (x + 1.0)) - np.exp(4.0 * x)) / 4.0
-        + c["gf_mean"] ** 2 * (np.exp(2.0 * (x + 1.0)) - np.exp(2.0 * x)) / 2.0
-        - 2.0 * c["g_mean"] * c["gf_mean"] * (np.exp(3.0 * (x + 1.0)) - np.exp(3.0 * x)) / 3.0
-    )
-
-
 # ---------------------------------------------------------------------------
 # weighted reference means by nested quadrature (generic d=1 models)
 # ---------------------------------------------------------------------------
 
-def weighted_reference_mean(model: ModelConfig, step: int, h: Callable, quad_points: int = 64) -> float:
+def weighted_reference_mean(model: ModelConfig, step: int, h: Callable) -> float:
     """Weighted mean of h at the given step for a d = 1 model with a density.
 
     Computes  E[h(Z_step) prod_{p<step} g_p(Z_p)] / E[prod_{p<step} g_p(Z_p)]
     where Z is the model's Markov chain started from the initial law.  This
     is the almost-sure limit of the mutated-population mean of h.  Uses
-    nested Gauss-Legendre quadrature of depth ``step``; intended for small
-    steps (<= 2 in practice).
+    nested 64-point Gauss-Legendre quadrature of depth ``step``; intended
+    for small steps (<= 2 in practice).
     """
-    if model.initial_density is None:
-        raise NotImplementedError("weighted_reference_mean needs an initial density")
-    if model.dim != 1:
-        raise NotImplementedError("weighted_reference_mean only supports d = 1")
-    nodes, weights = gauss_legendre(quad_points)
+    nodes, weights = gauss_legendre(64)
     lo, hi = model.initial_support
     x = lo + (hi - lo) * nodes            # level-0 nodes
     wgt = (hi - lo) * weights * model.initial_density(x)
@@ -302,10 +229,7 @@ def weighted_reference_mean(model: ModelConfig, step: int, h: Callable, quad_poi
     for p in range(step):
         num = num * model.potential(p)(x)
         # propagate through the kernel: one quadrature level per step
-        kern = model.kernel(p + 1)
-        if kern.shift_bounds is None:
-            raise NotImplementedError("quadrature propagation needs a uniform shift kernel")
-        klo, khi = kern.shift_bounds
+        klo, khi = model.kernel(p + 1).shift_bounds
         x = (x[:, None] + klo + (khi - klo) * nodes[None, :]).ravel()
         num = (num[:, None] * weights[None, :]).ravel()
     den_val = float(np.sum(num))
@@ -416,7 +340,6 @@ def build_custom_model(spec: dict) -> ModelConfig:
     density = 1.0 / (b - a)
     return ModelConfig(
         name=spec.get("name", "custom"),
-        dim=1,
         sample_positions=sample_positions,
         initial_density=lambda x: np.where((x >= a) & (x <= b), density, 0.0),
         initial_support=(a, b),

@@ -77,7 +77,9 @@ def weight_profile(g_values) -> WeightProfile:
     with np.errstate(over="ignore", invalid="ignore"):
         w = m * g / g.sum()
     if not np.all(np.isfinite(w)):
-        raise InvalidModel("normalized weights overflow; rescale the potential values")
+        # some g_i > DBL_MAX / M: scale by the largest value first
+        s = g / g.max()
+        w = m * s / s.sum()
     cum = kahan_cumsum(w)
     cum[-1] = float(m)
 

@@ -13,15 +13,15 @@ variance of M^{-1/2} sum_m f(Y_m) splits into
                    an independent uniform and i.i.d. draws.
 
 Integrating the uniform out of the beta kernels has piecewise-polynomial
-closed forms (:func:`beta0_u_integral`, :func:`beta_window_u_integral`);
-the numeric route (:func:`beta_window_u_integral_numeric`) integrates the
-kernels directly and is kept strictly independent as a cross-check.
+closed forms (:func:`beta0_u_integral` for one stratum,
+:func:`beta_pair_u_integral` for a pair of strata k apart).  The engine's
+``window_kernel_terms`` is the one evaluator that applies them along
+windows; the tests check it against an independent numeric integration of
+the kernels.
 
 For later filter steps the same window kernels, evaluated along sliding
 windows of the mutated population, feed a recursive variance formula
-(:func:`recursive_variance_step`); the stratum-overlap functions
-(:func:`strata_overlap`) describe how consecutive strata land in the same
-cumulative-weight intervals.
+(:func:`recursive_variance_step`).
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
-from ._numerics import gauss_legendre, snapped_frac
+from ._numerics import snapped_frac
 from .errors import InvalidArgument
 from .estimators import EstimateWithCI, mean_estimate
 from .model import ModelConfig, section7_constants, weighted_reference_mean
@@ -82,23 +81,6 @@ def beta1(x, y1, y2, y3):
     return r if r.shape else float(r)
 
 
-def beta_window(k: int, u, y):
-    """Window kernel over k+1 consecutive weights y = (y_0, ..., y_k).
-
-    k = 0 gives beta0(u, y_0); k >= 1 gives -beta1(u, y_0, y_1+...+y_{k-1},
-    y_k) with the empty middle sum equal to 0 for k = 1.
-    """
-    y = np.asarray(y, dtype=float)
-    if k < 0:
-        raise InvalidArgument(f"window size k must be >= 0, got {k}")
-    if y.shape[-1] != k + 1:
-        raise InvalidArgument(f"window kernel needs k+1 = {k + 1} weights, got {y.shape[-1]}")
-    if k == 0:
-        return beta0(u, y[..., 0])
-    mid = y[..., 1:k].sum(axis=-1)
-    return -beta1(u, y[..., 0], mid, y[..., k])
-
-
 # ---------------------------------------------------------------------------
 # closed-form u-integrals of the kernels
 # ---------------------------------------------------------------------------
@@ -128,83 +110,8 @@ def beta_pair_u_integral(y0, mid, yk):
     return r if r.shape else float(r)
 
 
-def beta_window_u_integral(k: int, y):
-    """int_0^1 beta_window(k, u, y) du, closed form."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != k + 1:
-        raise InvalidArgument(f"window integral needs k+1 = {k + 1} weights, got {y.shape[-1]}")
-    if k == 0:
-        return beta0_u_integral(y[..., 0])
-    return beta_pair_u_integral(y[..., 0], y[..., 1:k].sum(axis=-1), y[..., k])
-
-
-def phi_k_closed(k: int, f_values, g_values):
-    """f_0 f_k int_0^1 beta_window(k, u, g) du with both sequences of
-    length k+1; the integrated pair kernel that replaces the uniform draw."""
-    f = np.asarray(f_values, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    if f.shape[-1] != k + 1 or g.shape[-1] != k + 1:
-        raise InvalidArgument(f"phi_k needs k+1 = {k + 1} values for f and g")
-    return f[..., 0] * f[..., -1] * beta_window_u_integral(k, g)
-
-
-def beta_window_u_integral_numeric(k: int, y, method: str = "piecewise"):
-    """Numeric u-integral of the window kernel; independent of the closed form.
-
-    ``piecewise`` splits [0, 1] at every point where a fractional part or an
-    indicator inside the kernel switches, then applies 16-point
-    Gauss-Legendre per piece (the pieces are quadratics, so this is exact to
-    round-off).  ``quad`` uses adaptive Gauss-Kronrod with the same points
-    as hints.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (k + 1,):
-        raise InvalidArgument(f"numeric window integral needs a flat window of {k + 1} weights")
-    y0 = y[0]
-    mid = float(y[1:k].sum()) if k >= 1 else 0.0
-    yk = y[k] if k >= 1 else 0.0
-
-    cuts = {0.0, 1.0}
-
-    def add(v):
-        if 0.0 < v < 1.0:
-            cuts.add(float(v))
-
-    # frac(u + y0) wraps at u = 1 - {y0}
-    add(1.0 - (y0 - math.floor(y0)))
-    if k == 0:
-        add(1.0 - y0)
-    else:
-        # indicators on v = frac(u + y0): v = 1 - mid and v = 1 - mid - yk
-        for target in (1.0 - mid, 1.0 - mid - yk):
-            if 0.0 <= target < 1.0:
-                add((target - y0) - math.floor(target - y0))
-        # indicators on u directly
-        add(1.0 - y0 - mid)
-        add(1.0 - y0 - mid - yk)
-    edges = np.array(sorted(cuts))
-
-    def integrand(u):
-        return beta_window(k, u, y)
-
-    if method == "quad":
-        val, _ = _scipy_integrate.quad(integrand, 0.0, 1.0,
-                                       points=list(edges[1:-1]), limit=200)
-        return float(val)
-    if method != "piecewise":
-        raise InvalidArgument(f"unknown method {method!r}")
-    nodes, weights = gauss_legendre(16)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        u = a + (b - a) * nodes
-        total += (b - a) * float(np.dot(weights, integrand(u)))
-    return total
-
-
 # ---------------------------------------------------------------------------
-# window sizes and stratum overlaps
+# window sizes
 # ---------------------------------------------------------------------------
 
 def correlation_window(k: int, ratio: float) -> int:
@@ -215,40 +122,6 @@ def correlation_window(k: int, ratio: float) -> int:
     if k < 0:
         raise InvalidArgument(f"k must be >= 0, got {k}")
     return int(math.ceil(ratio * (1 + k) - 1e-12))
-
-
-def strata_overlap(s_indices, u: float, y, i_max: int) -> float:
-    """Product of stratum/interval overlap lengths, summed over strata.
-
-    With s_0 = 0 <= s_1 <= ... <= s_k (``s_indices`` holds s_1..s_k) and
-    cumulative sums of y = (y_0, ..., y_{s_k}), computes
-
-        sum_{i=1}^{i_max} prod_{q=0}^{k}
-            | (i+q-1, i+q]  intersect  (u + sum_{j<s_q} y_j, u + sum_{j<=s_q} y_j] |
-
-    i.e. the joint mass with which strata i, i+1, ..., i+k all land inside
-    the prescribed cumulative-weight intervals.
-    """
-    s = [0] + [int(v) for v in s_indices]
-    if any(b < a for a, b in zip(s, s[1:])):
-        raise InvalidArgument("s_indices must be non-decreasing")
-    y = np.asarray(y, dtype=float)
-    if len(y) != s[-1] + 1:
-        raise InvalidArgument(f"strata_overlap needs s_k + 1 = {s[-1] + 1} weights, got {len(y)}")
-    cs = np.concatenate([[0.0], np.cumsum(y)])
-    total = 0.0
-    for i in range(1, i_max + 1):
-        prod = 1.0
-        for q, sq in enumerate(s):
-            lo = u + cs[sq]
-            hi = u + cs[sq + 1]
-            seg = min(hi, i + q) - max(lo, i + q - 1)
-            if seg <= 0.0:
-                prod = 0.0
-                break
-            prod *= seg
-        total += prod
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ import pytest
 
 from smclab import (
     beta0_u_integral,
-    beta_window_u_integral_numeric,
     conditional_variance_exact,
-    phi_k_closed,
     conditional_variance_oracle,
     mean_estimate,
     normality_check,
@@ -37,6 +35,8 @@ from smclab.experiments import (
     run_variance_step0,
     run_variance_step1,
 )
+
+from conftest import beta_window_u_integral_numeric, window_integral_closed
 
 E = math.e
 WORKERS = min(4, os.cpu_count() or 1)
@@ -79,7 +79,7 @@ def test_criterion_02_window_integral_quadrature():
         for _ in range(200):
             y = rng.uniform(0.01, 2.4, k + 1)
             fv = rng.uniform(-2.0, 2.0, k + 1)
-            closed = phi_k_closed(k, fv, y)
+            closed = window_integral_closed(k, fv, y)
             numeric = fv[0] * fv[-1] * beta_window_u_integral_numeric(k, y)
             worst = max(worst, abs(closed - numeric))
     grid_worst = 0.0

@@ -9,7 +9,6 @@ from smclab.experiments import (
     beta_table_text,
     default_config,
     load_config,
-    parse_report_csv,
     report_to_csv,
     report_to_json,
     run_clt,
@@ -19,6 +18,8 @@ from smclab.experiments import (
     run_variance_step0,
     validate_config,
 )
+
+from conftest import parse_report_csv
 
 FLAT_MODEL = {
     "name": "flat",
@@ -80,6 +81,23 @@ def test_validate_config_invariants():
         validate_config(default_config("clt", seed=-1))
     with pytest.raises(InvalidConfig):
         validate_config(default_config("variance-step0", replicates2=1))
+    # JSON values of the wrong type
+    wrong_types = [
+        ("clt", dict(workers="2")),
+        ("clt", dict(particles="300")),
+        ("clt", dict(seed=1.5)),
+        ("compare-resamplers", dict(particles=300.5)),
+        ("conjecture2", dict(step=True)),
+        ("clt", dict(timing=1)),
+        ("clt", dict(format=None)),
+        ("beta-table", dict(table_kind=0)),
+        ("beta-table", dict(table_points=4.0)),
+        ("clt", dict(out=5)),
+        ("clt", dict(model=7)),
+    ]
+    for experiment, fields in wrong_types:
+        with pytest.raises(InvalidConfig):
+            validate_config(default_config(experiment, **fields))
     validate_config(default_config("variance-step0", model=FLAT_MODEL, particles=300,
                                    replicates=200, replicates2=200))
 
@@ -225,7 +243,19 @@ def test_cli_config_and_errors(tmp_path):
 
     # bad input fails before any stream runs, with a message and no traceback
     cfgfile.write_text('{"schema": 1, "experiment": "clt", "par')
-    bad_inputs = [
+    wrong_types = [
+        ("clt", {"workers": "2"}),
+        ("clt", {"particles": "300"}),
+        ("clt", {"seed": 1.5}),
+        ("compare-resamplers", {"particles": 300.5}),
+        ("conjecture2", {"step": True}),
+    ]
+    typed = []
+    for i, (experiment, fields) in enumerate(wrong_types):
+        path = tmp_path / f"typed{i}.json"
+        path.write_text(json.dumps({"schema": 1, "experiment": experiment, **fields}))
+        typed.append((experiment, "--config", str(path)))
+    bad_inputs = typed + [
         ("clt", "--config", str(cfgfile)),
         ("variance-step0", "--seed", "-1", "--particles", "300", "--replicates", "200"),
         ("variance-step1", "--particles", "300", "--replicates", "200", "--replicates2", "1"),

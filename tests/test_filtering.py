@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from smclab import (
-    InvalidArgument,
-    conditional_mean,
-    conjecture2_lhs,
-    conjecture2_rhs,
-    k_tuple_mean,
-    run_filter,
-    trajectory_to_csv,
-)
+from smclab import conditional_mean, run_filter, weight_profile
+from smclab._engine import Conjecture2Task, stream_rng
 from smclab.model import build_custom_model
+from smclab.variance import _reference_g_mean
+
+from conftest import conjecture2_lhs, conjecture2_rhs
 
 E = math.e
 
@@ -37,13 +33,6 @@ def test_bit_reproducible(model):
 def test_warns_below_window_threshold(model):
     with pytest.warns(UserWarning):
         run_filter(model, 4, 1, seed=0)
-
-
-def test_keep_history_prunes(model):
-    traj = run_filter(model, 50, 2, seed=5, keep_history=False)
-    assert sorted(traj.records) == [1, 2]
-    with pytest.raises(InvalidArgument):
-        traj.record(0)
 
 
 def test_step1_population_means(model):
@@ -72,28 +61,15 @@ def test_selection_identity_monte_carlo(model):
     assert abs(vals.mean() - target) < 5 * se
 
 
-def test_k_tuple_mean(model):
-    traj = run_filter(model, 10, 1, seed=2)
-    ones = lambda *cols: np.ones_like(cols[0])
-    assert k_tuple_mean(traj, 1, 2, ones) == pytest.approx(0.8, abs=1e-15)
-    plain = k_tuple_mean(traj, 1, 0, lambda a: np.exp(a))
-    assert plain == pytest.approx(np.exp(traj.record(1).mutated).mean(), rel=1e-12)
-    sel = k_tuple_mean(traj, 1, 0, lambda a: np.exp(a), which="selected")
-    assert sel == pytest.approx(np.exp(traj.record(1).selected).mean(), rel=1e-12)
-    with pytest.raises(InvalidArgument):
-        k_tuple_mean(traj, 1, 10, ones)
-    with pytest.raises(InvalidArgument):
-        k_tuple_mean(traj, 1, 1, ones, which="bogus")
-
-
 def test_conjecture2_sides_close_at_scale(model):
-    traj = run_filter(model, 50_000, 1, seed=11)
+    rec = run_filter(model, 50_000, 1, seed=11).record(1)
     h = lambda a, b: a + b
     psi = lambda u, w0, w1: u + w0 + w1
-    lhs = conjecture2_lhs(traj, 1, 1, h, psi)
+    lhs = conjecture2_lhs(rec.mutated, rec.profile, 1, h, psi)
     # the limit side with the uniform replaced by its mean
-    rhs_mean = conjecture2_rhs(traj, 1, 1, h, lambda u, w0, w1: 0.5 + w0 + w1,
-                               np.random.default_rng(0))
+    gt = model.potential(1)(rec.mutated) / _reference_g_mean(model, 1)
+    rhs_mean = conjecture2_rhs(rec.mutated, gt, 1, h, lambda u, w0, w1: 0.5 + w0 + w1,
+                               np.random.default_rng(0).random())
     assert lhs == pytest.approx(5.751, abs=0.08)
     assert rhs_mean == pytest.approx(5.751, abs=0.08)
 
@@ -106,24 +82,31 @@ def test_conjecture2_equal_weights_u_free_psi():
         "g": {"form": "poly", "coeffs": [2.0]},
         "f": {"form": "poly", "coeffs": [0.0, 1.0]},
     })
-    traj = run_filter(flat, 500, 1, seed=4)
+    rec = run_filter(flat, 500, 1, seed=4).record(1)
     h = lambda a, b: a * b
     psi = lambda u, w0, w1: 3.0 * w0 + w1  # no dependence on the fractional part
-    lhs = conjecture2_lhs(traj, 1, 1, h, psi)
-    rhs = conjecture2_rhs(traj, 1, 1, h, psi, np.random.default_rng(1))
+    lhs = conjecture2_lhs(rec.mutated, rec.profile, 1, h, psi)
+    gt = flat.potential(1)(rec.mutated) / _reference_g_mean(flat, 1)
+    rhs = conjecture2_rhs(rec.mutated, gt, 1, h, psi, np.random.default_rng(1).random())
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_trajectory_csv_export(model, tmp_path):
-    traj = run_filter(model, 20, 1, seed=6)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,index,y_position,x_position,weight"
-    assert len(lines) == 1 + 2 * 20
-    step, idx, ypos, xpos, w = lines[1 + 20].split(",")
-    rec = traj.record(1)
-    assert (int(step), int(idx)) == (1, 0)
-    assert float(ypos) == rec.selected[0]
-    assert float(xpos) == rec.mutated[0]
-    assert float(w) == rec.profile.w[0]
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("t", [1, 2])
+def test_conjecture2_task_matches_oracle(model, step, t):
+    """Every row of the engine's Conjecture2Task against the oracle on that
+    row's population: lhs with the library's weight_profile, rhs with the
+    uniform the task draws after its population loop."""
+    task = Conjecture2Task("section7", 300, step=step, tuple_size=t)
+    rows = 6
+    lhs, rhs = task(rows, stream_rng(5, 1, 0))
+    replay = stream_rng(5, 1, 0)
+    x, _ = task._advance(rows, step, replay)
+    u = replay.random((rows, 1))
+    h = lambda *cols: sum(cols)
+    psi = lambda u, *w: u + sum(w)
+    g_mean = _reference_g_mean(model, step)
+    for r in range(rows):
+        g = model.potential(step)(x[r])
+        assert lhs[r] == pytest.approx(conjecture2_lhs(x[r], weight_profile(g), t, h, psi), rel=1e-9)
+        assert rhs[r] == pytest.approx(conjecture2_rhs(x[r], g / g_mean, t, h, psi, u[r, 0]), rel=1e-9)

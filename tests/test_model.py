@@ -8,82 +8,70 @@ from smclab import (
     InvalidArgument,
     InvalidModel,
     build_custom_model,
-    mutate,
-    sample_initial,
+    run_filter,
     section7_constants,
     section7_pf1,
-    section7_pf1_sq,
     uniform_shift_kernel,
     weighted_reference_mean,
 )
+
+from conftest import section7_pf1_sq
 
 E = math.e
 
 
 def test_sample_initial_support_and_errors(model, rng):
-    ps = sample_initial(model, 3, rng)
-    assert ps.size == 3
-    assert np.all((ps.positions >= 0.0) & (ps.positions < 1.0))
-    assert ps.generation == 0
-    assert np.allclose(ps.potentials, np.exp(ps.positions))
+    x = model.sample_positions((3,), rng)
+    assert x.shape == (3,)
+    assert np.all((x >= 0.0) & (x < 1.0))
+    assert np.allclose(model.potential(0)(x), np.exp(x))
     with pytest.raises(InvalidArgument):
-        sample_initial(model, 0, rng)
+        run_filter(model, 0, 0, seed=0)
 
 
 def test_sample_initial_clt_bands(model, rng):
     m = 100_000
-    ps = sample_initial(model, m, rng)
+    x = model.sample_positions((m,), rng)
     # mean position: sd = 1/sqrt(12M)
-    assert abs(ps.positions.mean() - 0.5) < 0.01
+    assert abs(x.mean() - 0.5) < 0.01
     # mean potential: eta(g0) = e - 1, 4-sigma band
     sd_g = math.sqrt((E**2 - 1) / 2 - (E - 1) ** 2)
-    assert abs(ps.potentials.mean() - (E - 1)) < 4 * sd_g / math.sqrt(m)
+    assert abs(model.potential(0)(x).mean() - (E - 1)) < 4 * sd_g / math.sqrt(m)
     # mean of f * g0 = e^{2x}
-    fg = np.exp(2 * ps.positions)
+    fg = np.exp(2 * x)
     sd_fg = math.sqrt((E**4 - 1) / 4 - ((E**2 - 1) / 2) ** 2)
     assert abs(fg.mean() - (E**2 - 1) / 2) < 4 * sd_fg / math.sqrt(m)
 
 
 def test_mutate_support_and_mean(model, rng):
-    ps = sample_initial(model, 10, rng)
-    frozen = ps.positions.copy()
-    moved = mutate(ps, None, rng)
-    assert moved.generation == 1
-    assert np.all(moved.positions >= frozen) and np.all(moved.positions <= frozen + 1.0)
+    frozen = model.sample_positions((10,), rng)
+    moved = model.kernel(1).sample(frozen, rng)
+    assert np.all(moved >= frozen) and np.all(moved <= frozen + 1.0)
     # all particles at 0: mutated mean ~ 0.5
-    from smclab.model import ParticleSystem
-    at_zero = ParticleSystem(model=model, positions=np.zeros(100_000),
-                             potentials=np.ones(100_000), generation=0)
-    moved = mutate(at_zero, None, rng)
-    assert abs(moved.positions.mean() - 0.5) < 0.01
-
-
-def test_kernel_is_probability_kernel():
-    k = uniform_shift_kernel(0.0, 1.0)
-    assert k.integrate(lambda y: np.ones_like(y), 0.37) == pytest.approx(1.0, abs=1e-12)
+    moved = model.kernel(1).sample(np.zeros(100_000), rng)
+    assert abs(moved.mean() - 0.5) < 0.01
 
 
 def test_kernel_integrate_matches_monte_carlo(rng):
+    """Sampled kernel moves average to the closed form (P exp)(x) = e^x (e - 1)."""
     k = uniform_shift_kernel(0.0, 1.0)
     x = 0.3
-    exact = k.integrate(np.exp, x)
+    exact = math.exp(x) * (E - 1)
     draws = np.exp(k.sample(np.full(100_000, x), rng))
     se = draws.std() / math.sqrt(len(draws))
     assert abs(exact - draws.mean()) < 5 * se
-    # closed form for comparison
-    assert exact == pytest.approx(math.exp(x) * (E - 1), rel=1e-12)
 
 
 def test_potential_bounds_hold_on_samples(model, rng):
-    ps = sample_initial(model, 50_000, rng)
+    x = model.sample_positions((50_000,), rng)
     spec0 = model.potential(0)
-    assert ps.potentials.min() >= spec0.lower
-    assert ps.potentials.max() <= spec0.upper
-    moved = mutate(ps, None, rng)
+    assert spec0(x).min() >= spec0.lower
+    assert spec0(x).max() <= spec0.upper
+    moved = model.kernel(1).sample(x, rng)
     spec1 = model.potential(1)
     assert spec1.ratio() == pytest.approx(E**2, rel=1e-12)
-    assert moved.potentials.min() >= spec1.lower
-    assert moved.potentials.max() <= spec1.upper
+    assert spec1(moved).min() >= spec1.lower
+    assert spec1(moved).max() <= spec1.upper
 
 
 def test_reference_constants_exact_values():

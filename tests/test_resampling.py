@@ -68,9 +68,9 @@ def test_profile_rejects_bad_input():
         weight_profile([1.0, -2.0])
     with pytest.raises(InvalidArgument):
         weight_profile([])
-    # finite values whose sum overflows
-    with pytest.raises(InvalidModel):
-        weight_profile([1e308, 1e308, 1.0])
+    # finite values with some g_i > DBL_MAX / M are scaled by the largest first
+    assert weight_profile([1e308, 1e307]).w == pytest.approx([2.0 / 1.1, 0.2 / 1.1], rel=1e-15)
+    assert weight_profile([1e308, 1e308, 1.0]).w.tolist() == [1.5, 1.5, 1.5e-308]
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,6 +361,33 @@ def test_baseline_exact_variances_against_monte_carlo(rng):
         mc = vals.var()
         tol = 5 * max(mc, 1e-6) * math.sqrt(2.0 / reps) + 5 * abs(vals.mean()) / math.sqrt(reps)
         assert abs(mc - target) < max(tol, 2e-3), kind
+
+
+def test_systematic_variance_against_u_grid(rng):
+    """Exact systematic variance against brute force over a grid of U.
+
+    S(U) = sum_m f(X_anc(m - U)) / sqrt(M) is piecewise constant in U: it
+    jumps only where a stratum point m - U crosses a running sum, and each
+    S_i is crossed once, moving one ancestor by one index.  So its total
+    variation is TV <= sum_i |f_{i+1} - f_i| / sqrt(M).  The midpoint rule
+    on N cells errs on a piecewise-constant h by at most TV(h) / N, since a
+    jump misplaces at most its own cell.  With T = S - S(u_0), |T| <= TV and
+    Var = E[T^2] - E[T]^2 errs by at most TV(T^2)/N + 2 max|T| TV(T)/N
+    <= 4 TV^2 / N.  Snapping a fractional part within SNAP_TOL of an
+    integer moves a breakpoint by at most SNAP_TOL: 4 TV^2 SNAP_TOL more.
+    """
+    n = 2**16
+    grid = (np.arange(n) + 0.5) / n
+    profiles = [random_profile(rng, 4, 30) for _ in range(20)]
+    profiles.append(weight_profile(rng.permutation(np.geomspace(1.0, 1e3, 30))))
+    for prof in profiles:
+        m = prof.size
+        fv = rng.uniform(-2.0, 2.0, m)
+        strata = np.arange(1, m + 1, dtype=float)
+        s = fv[ancestors(prof.cum, strata[None, :] - grid[:, None])].sum(axis=1) / math.sqrt(m)
+        tv = np.abs(np.diff(fv)).sum() / math.sqrt(m)
+        tol = 4.0 * tv**2 * (1.0 / n + SNAP_TOL) + 1e-12
+        assert abs(s.var() - systematic_conditional_variance(prof, fv)) <= tol, m
 
 
 def test_stratified_below_multinomial(rng):

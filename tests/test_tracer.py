@@ -17,3 +17,17 @@ def test_tracer_installs(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """``import smclab`` must not pull in ``scipy.integrate`` (about 26 MiB
+    and 0.3 s per process); only the tests use quadrature from scipy."""
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}]\n"
+        "import smclab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,18 +9,20 @@ from smclab import (
     beta0,
     beta0_u_integral,
     beta1,
-    beta_window,
-    beta_window_u_integral,
-    beta_window_u_integral_numeric,
     build_custom_model,
     conditional_variance_exact,
     correlation_window,
-    phi_k_closed,
     recursive_variance_step,
     sigma1_sq,
     sigma2_sq,
-    strata_overlap,
     weight_profile,
+)
+
+from conftest import (
+    beta_window,
+    beta_window_u_integral_numeric,
+    window_integral_breaks,
+    window_integral_closed,
 )
 
 E = math.e
@@ -74,8 +76,8 @@ def test_beta0_integral_law_against_quadrature():
 
 
 def test_phi0_point_values():
-    assert phi_k_closed(0, [3.0], [1.0]) == pytest.approx(3.0, abs=1e-12)  # c^2/3 with c=3
-    assert phi_k_closed(0, [1.0], [0.5]) == pytest.approx((1 - 0.125) / 3.0, abs=1e-12)
+    assert window_integral_closed(0, [3.0], [1.0]) == pytest.approx(3.0, abs=1e-12)  # c^2/3 with c=3
+    assert window_integral_closed(0, [1.0], [0.5]) == pytest.approx((1 - 0.125) / 3.0, abs=1e-12)
 
 
 def test_window_integral_closed_vs_numeric(rng):
@@ -83,30 +85,25 @@ def test_window_integral_closed_vs_numeric(rng):
     for k in range(4):
         for _ in range(60):
             y = rng.uniform(0.02, 2.2, k + 1)
-            closed = beta_window_u_integral(k, y)
+            closed = window_integral_closed(k, np.ones(k + 1), y)
             numeric = beta_window_u_integral_numeric(k, y)
             worst = max(worst, abs(closed - numeric))
     assert worst < 1e-9
 
 
 def test_window_integral_numeric_methods_agree(rng):
+    """Piecewise Gauss-Legendre against adaptive Gauss-Kronrod on the same
+    integrand, with the break points as hints."""
     for k in (0, 1, 3):
         y = rng.uniform(0.1, 1.8, k + 1)
-        piece = beta_window_u_integral_numeric(k, y, method="piecewise")
-        gk = beta_window_u_integral_numeric(k, y, method="quad")
+        piece = beta_window_u_integral_numeric(k, y)
+        gk, _ = quad(lambda u: beta_window(k, u, y), 0.0, 1.0,
+                     points=list(window_integral_breaks(k, y)[1:-1]), limit=200)
         assert piece == pytest.approx(gk, abs=1e-9)
 
 
-def test_phi_k_includes_test_function_product(rng):
-    y = rng.uniform(0.2, 1.5, 3)
-    f = rng.uniform(-2.0, 2.0, 3)
-    assert phi_k_closed(2, f, y) == pytest.approx(f[0] * f[2] * beta_window_u_integral(2, y), rel=1e-12)
-    with pytest.raises(InvalidArgument):
-        phi_k_closed(2, f[:2], y)
-
-
 # ---------------------------------------------------------------------------
-# window sizes and overlaps
+# window sizes
 # ---------------------------------------------------------------------------
 
 def test_correlation_window_values():
@@ -115,28 +112,6 @@ def test_correlation_window_values():
     assert correlation_window(8, E) == 25
     with pytest.raises(InvalidArgument):
         correlation_window(0, 0.5)
-
-
-def test_strata_overlap_examples():
-    # single interval: full mass y0 spread over the strata
-    assert strata_overlap([], 0.0, [2.0], 4) == pytest.approx(2.0, abs=1e-12)
-    # two strata forced into one interval of length 2 starting at 0
-    assert strata_overlap([0], 0.0, [2.0], 3) == pytest.approx(1.0, abs=1e-12)
-    # unit weights align exactly with strata
-    assert strata_overlap([1, 2], 0.0, [1.0, 1.0, 1.0], 4) == pytest.approx(1.0, abs=1e-12)
-    assert strata_overlap([1, 1], 0.0, [1.0, 1.0], 4) == 0.0
-    with pytest.raises(InvalidArgument):
-        strata_overlap([1], 0.0, [1.0], 4)
-    with pytest.raises(InvalidArgument):
-        strata_overlap([2, 1], 0.0, [1.0, 1.0, 1.0], 4)
-
-
-def test_strata_overlap_marginal_law():
-    for y0 in (0.4, 1.0, 1.7, 2.6):
-        breaks = sorted({(k - y0) - math.floor(k - y0) for k in range(4)} - {0.0})
-        num, _ = quad(lambda u: strata_overlap([], u, [y0], 6), 0.0, 1.0,
-                      points=breaks, limit=100)
-        assert num == pytest.approx(y0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
