@@ -6,7 +6,8 @@
            [--kind KIND] [--points N]
 
 Flags override config-file values.  Exit code 0 when the experiment verdict
-passes, 2 when it fails, 1 on error.
+passes (or a beta-table grid was written), 2 when it fails, 1 on error,
+including a report or grid that cannot be written to ``--out``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import SmclabError
+from .errors import InvalidConfig, SmclabError
 from .experiments import (
     EXPERIMENTS,
     beta_table_text,
@@ -64,43 +65,34 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config(args.config, **overrides)
             if cfg.experiment != args.experiment:
-                print(f"error: config experiment {cfg.experiment!r} does not match "
-                      f"command {args.experiment!r}", file=sys.stderr)
-                return 1
+                raise InvalidConfig(f"config experiment {cfg.experiment!r} does not match "
+                                    f"command {args.experiment!r}")
         else:
             cfg = default_config(args.experiment, **overrides)
-        validate_config(cfg)
-
         if cfg.experiment == "beta-table":
-            text = beta_table_text(cfg.table_kind, cfg.table_points)
-            if cfg.out:
-                with open(cfg.out, "w") as fh:
-                    fh.write(text)
-                print(f"wrote {cfg.table_kind} grid to {cfg.out}")
-            else:
-                sys.stdout.write(text)
-            return 0
-
-        report = run_experiment(cfg)
-        text = report_to_csv(report) if cfg.format == "csv" else report_to_json(report)
+            validate_config(cfg)
+            report, text = None, beta_table_text(cfg.table_kind, cfg.table_points)
+        else:
+            report = run_experiment(cfg)
+            text = report_to_csv(report) if cfg.format == "csv" else report_to_json(report)
         if cfg.out:
             with open(cfg.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        for row in report.rows:
-            print(f"# {row.quantity}: {row.estimate:.6g} "
-                  f"[{row.ci_lo:.6g}, {row.ci_hi:.6g}]", file=sys.stderr)
-        if report.verdict is None:
-            return 0
-        print(f"# verdict: {'PASS' if report.verdict else 'FAIL'}", file=sys.stderr)
-        return 0 if report.verdict else 2
-    except SmclabError as exc:
+    except (SmclabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
+    if report is None:
+        if cfg.out:
+            print(f"wrote {cfg.table_kind} grid to {cfg.out}")
+        return 0
+    for row in report.rows:
+        print(f"# {row.quantity}: {row.estimate:.6g} "
+              f"[{row.ci_lo:.6g}, {row.ci_hi:.6g}]", file=sys.stderr)
+    print(f"# verdict: {'PASS' if report.verdict else 'FAIL'}", file=sys.stderr)
+    return 0 if report.verdict else 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Config-driven experiments with CSV/JSON reporting.
 
-Every experiment consumes an :class:`ExperimentConfig` (JSON file and/or CLI
-flags), runs a fixed set of reproducible Monte Carlo streams, and returns an
-:class:`ExperimentReport` whose rows all carry a confidence interval.  Paired
-experiments also carry a verdict: the two quantities must differ by less than
-3 times the sum of their CI half-widths (the comparisons assert vanishing
-differences in the large-population limit, not equality at finite M, so plain
-CI intersection would be too strict at small scales).
+:func:`run_experiment` is the entry point.  It validates an
+:class:`ExperimentConfig` (JSON file and/or CLI flags), times the
+experiment's runner and turns the runner's estimates into the rows of an
+:class:`ExperimentReport`.  A runner runs a fixed set of reproducible Monte
+Carlo streams and returns its estimates, each an :class:`EstimateWithCI` in
+report order (a value without sampling error has lo = hi = point), and a
+verdict.  Paired experiments judge agreement: the two quantities must differ
+by less than 3 times the sum of their CI half-widths (the comparisons assert
+vanishing differences in the large-population limit, not equality at finite
+M, so plain CI intersection would be too strict at small scales).
 
 Experiments
 -----------
@@ -48,11 +51,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -114,13 +118,6 @@ _DESK_DEFAULTS = {
     "beta-table": dict(particles=0, replicates=0),
 }
 
-_CONFIG_KEYS = {
-    "schema", "experiment", "model", "particles", "replicates", "replicates2",
-    "step", "tuple_size", "seed", "workers", "out", "format", "timing",
-    "table_kind", "table_points",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -160,7 +157,7 @@ class ReportRow:
 class ExperimentReport:
     config: ExperimentConfig
     rows: tuple[ReportRow, ...]
-    verdict: Optional[bool]
+    verdict: bool
 
     def row(self, quantity: str) -> ReportRow:
         for r in self.rows:
@@ -189,7 +186,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise InvalidConfig("config must be a JSON object")
     if raw.get("schema") != 1:
         raise InvalidConfig(f"unsupported config schema {raw.get('schema')!r} (expected 1)")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {"schema", *(f.name for f in fields(ExperimentConfig))}
     if unknown:
         raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
     if "experiment" not in raw:
@@ -207,7 +204,8 @@ def _is_int(value) -> bool:
 _FIELD_TYPES = (
     (("particles", "replicates", "replicates2", "step", "tuple_size", "seed", "workers"),
      _is_int, "an integer"),
-    (("table_points",), lambda v: v is None or _is_int(v), "an integer or null"),
+    (("table_points",), lambda v: v is None or (_is_int(v) and v >= 2),
+     "an integer >= 2 or null"),
     (("timing",), lambda v: isinstance(v, bool), "true or false"),
     (("format", "table_kind"), lambda v: isinstance(v, str), "a string"),
     (("out",), lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -252,40 +250,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidConfig(f"{cfg.experiment} needs the built-in model's step-1 transform")
 
 
-def overlap_verdict(a: ReportRow, b: ReportRow, factor: float = OVERLAP_FACTOR) -> bool:
-    """|estimate difference| < factor * (sum of CI half-widths)."""
-    return abs(a.estimate - b.estimate) < factor * (a.half_width + b.half_width)
+def overlap_verdict(a: EstimateWithCI, b: EstimateWithCI,
+                    factor: float = OVERLAP_FACTOR) -> bool:
+    """|point difference| < factor * (sum of CI half-widths)."""
+    return abs(a.point - b.point) < factor * (a.half_width + b.half_width)
 
 
-class _Reporter:
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.t0 = time.perf_counter()
-        self.entries: list[tuple[str, float, float, float, int]] = []
-
-    def add(self, quantity: str, est: EstimateWithCI):
-        self.entries.append((quantity, est.point, est.lo, est.hi, est.n))
-
-    def add_value(self, quantity: str, value: float, n: int = 1):
-        self.entries.append((quantity, value, value, value, n))
-
-    def finish(self, verdict: Optional[bool]) -> ExperimentReport:
-        wall = time.perf_counter() - self.t0 if self.cfg.timing else 0.0
-        rows = tuple(
-            ReportRow(
-                experiment=self.cfg.experiment,
-                quantity=q,
-                estimate=e,
-                ci_lo=lo,
-                ci_hi=hi,
-                n_samples=n,
-                particles=self.cfg.particles,
-                seed=self.cfg.seed,
-                wall_time_s=round(wall, 3),
-            )
-            for (q, e, lo, hi, n) in self.entries
-        )
-        return ExperimentReport(config=self.cfg, rows=rows, verdict=verdict)
+def _value(value: float, n: int = 1) -> EstimateWithCI:
+    """A report value without sampling error: lo = hi = point."""
+    return EstimateWithCI(point=value, lo=value, hi=value, n=n, kind="value")
 
 
 def _shift(est: EstimateWithCI, offset: float, scale: float = 1.0) -> EstimateWithCI:
@@ -294,13 +267,11 @@ def _shift(est: EstimateWithCI, offset: float, scale: float = 1.0) -> EstimateWi
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each returns ({quantity: estimate} in report order, verdict)
 # ---------------------------------------------------------------------------
 
-def run_conjecture1(cfg: ExperimentConfig) -> ExperimentReport:
+def _conjecture1(cfg: ExperimentConfig):
     """Variance of the step-1 weighted ratio vs. the two-term recursion."""
-    validate_config(cfg)
-    rep = _Reporter(cfg)
     t_vals, = run_stream(WeightedRatioTask(cfg.model, cfg.particles, step=1),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
     h_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="pf1"),
@@ -309,33 +280,23 @@ def run_conjecture1(cfg: ExperimentConfig) -> ExperimentReport:
     v2 = variance_estimate(h_vals)
     scale, correction = _step1_recursion_terms()
     composite = _shift(v2, correction, 1.0 / scale)
-    rep.add("direct_variance", v1)
-    rep.add("recursion_estimate", composite)
-    rep.add("transform_variance", v2)
-    report = rep.finish(None)
-    verdict = overlap_verdict(report.row("direct_variance"), report.row("recursion_estimate"))
-    return ExperimentReport(config=cfg, rows=report.rows, verdict=verdict)
+    estimates = {"direct_variance": v1, "recursion_estimate": composite,
+                 "transform_variance": v2}
+    return estimates, overlap_verdict(v1, composite)
 
 
-def run_conjecture2(cfg: ExperimentConfig) -> ExperimentReport:
+def _conjecture2(cfg: ExperimentConfig):
     """Windowed statistic: actual weight bookkeeping vs. its uniform limit."""
-    validate_config(cfg)
-    rep = _Reporter(cfg)
     lhs, rhs = run_stream(
         Conjecture2Task(cfg.model, cfg.particles, step=cfg.step, tuple_size=cfg.tuple_size),
         cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
-    rep.add("windowed_actual", mean_estimate(lhs))
-    rep.add("windowed_limit", mean_estimate(rhs))
-    report = rep.finish(None)
-    verdict = overlap_verdict(report.row("windowed_actual"), report.row("windowed_limit"))
-    return ExperimentReport(config=cfg, rows=report.rows, verdict=verdict)
+    actual, limit = mean_estimate(lhs), mean_estimate(rhs)
+    return {"windowed_actual": actual, "windowed_limit": limit}, overlap_verdict(actual, limit)
 
 
-def run_variance_step0(cfg: ExperimentConfig) -> ExperimentReport:
+def _variance_step0(cfg: ExperimentConfig):
     """Step-0 selection noise: direct variance minus the analytic
     weighted-mean term vs. the window-kernel expectation."""
-    validate_config(cfg)
-    rep = _Reporter(cfg)
     model = build_model(cfg.model)
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
@@ -344,16 +305,12 @@ def run_variance_step0(cfg: ExperimentConfig) -> ExperimentReport:
     s1 = sigma1_sq(model)
     excess = _shift(variance_estimate(t_vals), -s1)
     v2 = mean_estimate(z_vals)
-    rep.add("selection_variance_excess", excess)
-    rep.add("window_kernel_mean", v2)
-    rep.add_value("sigma1_sq", s1)
-    report = rep.finish(None)
-    verdict = overlap_verdict(report.row("selection_variance_excess"),
-                              report.row("window_kernel_mean"))
-    return ExperimentReport(config=cfg, rows=report.rows, verdict=verdict)
+    estimates = {"selection_variance_excess": excess, "window_kernel_mean": v2,
+                 "sigma1_sq": _value(s1)}
+    return estimates, overlap_verdict(excess, v2)
 
 
-def run_variance_step1(cfg: ExperimentConfig) -> ExperimentReport:
+def _variance_step1(cfg: ExperimentConfig):
     """Step-1 selection noise: direct variance with the recursion terms
     subtracted vs. window kernels averaged along simulated populations.
 
@@ -361,8 +318,6 @@ def run_variance_step1(cfg: ExperimentConfig) -> ExperimentReport:
     difference interval is the conservative 90% interval obtained by
     interval arithmetic on the two 95% intervals.
     """
-    validate_config(cfg)
-    rep = _Reporter(cfg)
     v11_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=2, transform="f"),
                            cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
     v12_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="pf1"),
@@ -379,21 +334,14 @@ def run_variance_step1(cfg: ExperimentConfig) -> ExperimentReport:
         n=v11.n, kind="variance", level=0.90,
     )
     v2 = mean_estimate(z_vals)
-    rep.add("selection_variance_excess", combined)
-    rep.add("window_kernel_mean", v2)
-    rep.add("step2_variance", v11)
-    rep.add("transform_variance", v12)
-    report = rep.finish(None)
-    verdict = overlap_verdict(report.row("selection_variance_excess"),
-                              report.row("window_kernel_mean"))
-    return ExperimentReport(config=cfg, rows=report.rows, verdict=verdict)
+    estimates = {"selection_variance_excess": combined, "window_kernel_mean": v2,
+                 "step2_variance": v11, "transform_variance": v12}
+    return estimates, overlap_verdict(combined, v2)
 
 
-def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
+def _clt(cfg: ExperimentConfig):
     """KS normality check of standardized step-1 selected sums against the
     predicted limit N(0, sigma1_sq + sigma2_sq)."""
-    validate_config(cfg)
-    rep = _Reporter(cfg)
     model = build_model(cfg.model)
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
@@ -409,11 +357,10 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     s2 = mean_estimate(z_vals)
     samples = t_vals - math.sqrt(cfg.particles) * center
     stat, passed = normality_check(samples, 0.0, s1 + s2.point, alpha=0.05)
-    rep.add_value("ks_statistic", stat, n=cfg.replicates)
-    rep.add_value("sigma_total", s1 + s2.point, n=cfg.replicates2)
-    rep.add("sigma2_sq", s2)
-    report = rep.finish(None)
-    return ExperimentReport(config=cfg, rows=report.rows, verdict=bool(passed))
+    estimates = {"ks_statistic": _value(stat, n=cfg.replicates),
+                 "sigma_total": _value(s1 + s2.point, n=cfg.replicates2),
+                 "sigma2_sq": s2}
+    return estimates, bool(passed)
 
 
 def _mc_resample_sums(kind, prof, fv, replicates, rng, block=4096):
@@ -428,14 +375,12 @@ def _mc_resample_sums(kind, prof, fv, replicates, rng, block=4096):
     return out
 
 
-def run_compare_resamplers(cfg: ExperimentConfig) -> ExperimentReport:
+def _compare_resamplers(cfg: ExperimentConfig):
     """Conditional variances of all four schemes on one frozen population.
 
     Monte Carlo over repeated resamples plus exact values; the verdict is
     the stratified <= multinomial ordering (exact, and Monte Carlo within
     the overlap tolerance)."""
-    validate_config(cfg)
-    rep = _Reporter(cfg)
     model = build_model(cfg.model)
     m = cfg.particles
     rng = stream_rng(cfg.seed, 0, 0)
@@ -456,33 +401,47 @@ def run_compare_resamplers(cfg: ExperimentConfig) -> ExperimentReport:
         )
         for stream_id, kind in enumerate(("stratified", "multinomial", "residual", "systematic"), start=1)
     }
+    estimates = {}
     for kind in exact:
-        rep.add(f"{kind}_mc", mc[kind])
-        rep.add_value(f"{kind}_exact", exact[kind])
-    report = rep.finish(None)
-    strat, multi = report.row("stratified_mc"), report.row("multinomial_mc")
+        estimates[f"{kind}_mc"] = mc[kind]
+        estimates[f"{kind}_exact"] = _value(exact[kind])
+    strat, multi = mc["stratified"], mc["multinomial"]
     verdict = (
         exact["stratified"] <= exact["multinomial"] + 1e-12
-        and strat.estimate <= multi.estimate + OVERLAP_FACTOR * (strat.half_width + multi.half_width)
+        and strat.point <= multi.point + OVERLAP_FACTOR * (strat.half_width + multi.half_width)
         and all(abs(mc[k].point - exact[k]) <= OVERLAP_FACTOR * max(mc[k].half_width, 1e-12)
                 for k in exact)
     )
-    return ExperimentReport(config=cfg, rows=report.rows, verdict=verdict)
+    return estimates, verdict
+
+
+_RUNNERS = {
+    "conjecture1": _conjecture1,
+    "conjecture2": _conjecture2,
+    "variance-step0": _variance_step0,
+    "variance-step1": _variance_step1,
+    "clt": _clt,
+    "compare-resamplers": _compare_resamplers,
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    runner = {
-        "conjecture1": run_conjecture1,
-        "conjecture2": run_conjecture2,
-        "variance-step0": run_variance_step0,
-        "variance-step1": run_variance_step1,
-        "clt": run_clt,
-        "compare-resamplers": run_compare_resamplers,
-    }.get(cfg.experiment)
+    """Validate ``cfg``, run its experiment and build the report rows."""
+    validate_config(cfg)
+    runner = _RUNNERS.get(cfg.experiment)
     if runner is None:
         raise InvalidConfig(f"experiment {cfg.experiment!r} does not produce a report "
                             "(beta-table writes its grid directly)")
-    return runner(cfg)
+    t0 = time.perf_counter()
+    estimates, verdict = runner(cfg)
+    wall = round(time.perf_counter() - t0, 3) if cfg.timing else 0.0
+    rows = tuple(
+        ReportRow(experiment=cfg.experiment, quantity=quantity, estimate=est.point,
+                  ci_lo=est.lo, ci_hi=est.hi, n_samples=est.n, particles=cfg.particles,
+                  seed=cfg.seed, wall_time_s=wall)
+        for quantity, est in estimates.items()
+    )
+    return ExperimentReport(config=cfg, rows=rows, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -490,41 +449,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def beta_table_text(kind: str, points: Optional[int] = None) -> str:
-    """CSV grid of a variance kernel; columns x, y1 [, y2, y3], value."""
+    """CSV grid of a variance kernel; columns x, y1 [, y2, y3], value.
+
+    Every axis starts at 0 and has ``points`` nodes (a per-kind default when
+    None); the grid is the product of the axes, first axis outermost.
+    """
+    # kind: (axis names, axis ends, default points, kernel)
+    tables = {
+        "beta0": (("x", "y1"), (1.0, 3.0), 41, beta0),
+        "beta1": (("x", "y1", "y2", "y3"), (1.0, 2.0, 2.0, 2.0), 9, beta1),
+        "phi0": (("x",), (3.0,), 101, beta0_u_integral),
+        "phik": (("x", "y1", "y2"), (2.0, 2.0, 2.0), 17, beta_pair_u_integral),
+    }
+    if kind not in tables:
+        raise InvalidConfig(f"unknown beta-table kind {kind!r}")
+    names, ends, default, kernel = tables[kind]
+    n = default if points is None else points
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if kind == "beta0":
-        n = points or 41
-        writer.writerow(["x", "y1", "value"])
-        for x in np.linspace(0.0, 1.0, n):
-            for y1 in np.linspace(0.0, 3.0, n):
-                writer.writerow([repr(float(x)), repr(float(y1)), repr(float(beta0(x, y1)))])
-    elif kind == "beta1":
-        n = points or 9
-        writer.writerow(["x", "y1", "y2", "y3", "value"])
-        grid = np.linspace(0.0, 2.0, n)
-        for x in np.linspace(0.0, 1.0, n):
-            for y1 in grid:
-                for y2 in grid:
-                    for y3 in grid:
-                        writer.writerow([repr(float(x)), repr(float(y1)), repr(float(y2)),
-                                         repr(float(y3)), repr(float(beta1(x, y1, y2, y3)))])
-    elif kind == "phi0":
-        n = points or 101
-        writer.writerow(["x", "value"])
-        for y in np.linspace(0.0, 3.0, n):
-            writer.writerow([repr(float(y)), repr(float(beta0_u_integral(y)))])
-    elif kind == "phik":
-        n = points or 17
-        writer.writerow(["x", "y1", "y2", "value"])
-        grid = np.linspace(0.0, 2.0, n)
-        for a in grid:
-            for mid in grid:
-                for b in grid:
-                    writer.writerow([repr(float(a)), repr(float(mid)), repr(float(b)),
-                                     repr(float(beta_pair_u_integral(a, mid, b)))])
-    else:
-        raise InvalidConfig(f"unknown beta-table kind {kind!r}")
+    writer.writerow([*names, "value"])
+    for node in itertools.product(*(np.linspace(0.0, end, n) for end in ends)):
+        writer.writerow([*(repr(float(v)) for v in node), repr(float(kernel(*node)))])
     return buf.getvalue()
 
 

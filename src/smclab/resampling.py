@@ -194,28 +194,18 @@ def selection_coefficients(profile: WeightProfile) -> SelectionCoefficients:
     """
     m = profile.size
     u, mu, w = profile.u, profile.mu, profile.w
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in range(1, m + 1):
-        lo, hi = int(mu[i - 1]), int(mu[i])
-        if lo < hi:
-            if lo <= m:
-                rows.append(lo - 1)
-                cols.append(i - 1)
-                vals.append(1.0 - u[i - 1])
-            for mm in range(lo + 1, min(hi, m + 1)):
-                rows.append(mm - 1)
-                cols.append(i - 1)
-                vals.append(1.0)
-            if hi <= m:
-                rows.append(hi - 1)
-                cols.append(i - 1)
-                vals.append(u[i])
-        elif lo <= m:
-            rows.append(lo - 1)
-            cols.append(i - 1)
-            vals.append(w[i - 1])
+    # particle i owns the strata mu_{i-1}..mu_i, one block per particle
+    count = mu[1:] - mu[:-1] + 1
+    first = np.cumsum(count) - count
+    cols = np.repeat(np.arange(m), count)
+    rows = np.repeat(mu[:-1] - first, count) + np.arange(cols.size)
+    vals = np.ones(cols.size)
+    vals[first] = 1.0 - u[:-1]
+    vals[first + count - 1] = u[1:]
+    single = count == 1
+    vals[first[single]] = w[single]
+    keep = rows <= m
+    rows, cols, vals = rows[keep] - 1, cols[keep], vals[keep]
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
     return SelectionCoefficients(matrix=mat)
 

@@ -40,6 +40,35 @@ def random_profile(rng, m_lo=4, m_hi=50, g_lo=1.0, g_hi=np.e):
     return weight_profile(g)
 
 
+def selection_coefficients_loop(profile):
+    """Entry-by-entry construction of the q-matrix CSR: the reference for the
+    vectorized ``smclab.selection_coefficients``, which must emit the same
+    triplets in the same order and hence the same bytes."""
+    from scipy import sparse
+
+    m = profile.size
+    u, mu, w = profile.u, profile.mu, profile.w
+    rows, cols, vals = [], [], []
+    for i in range(1, m + 1):
+        lo, hi = int(mu[i - 1]), int(mu[i])
+        if lo == hi:
+            entries = [(lo, w[i - 1])]
+        else:
+            entries = ([(lo, 1.0 - u[i - 1])] + [(mm, 1.0) for mm in range(lo + 1, hi)]
+                       + [(hi, u[i])])
+        for stratum, value in entries:
+            if stratum <= m:
+                rows.append(stratum - 1)
+                cols.append(i - 1)
+                vals.append(value)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def assert_same_csr(a, b):
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def ancestors_merge_walk(cum, points):
     """O(M) merge walk over sorted query points: an oracle for the binary
     search of ``smclab.resampling.ancestors``, resolving ties identically

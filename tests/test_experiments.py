@@ -11,11 +11,7 @@ from smclab.experiments import (
     load_config,
     report_to_csv,
     report_to_json,
-    run_clt,
-    run_compare_resamplers,
-    run_conjecture2,
     run_experiment,
-    run_variance_step0,
     validate_config,
 )
 
@@ -92,6 +88,8 @@ def test_validate_config_invariants():
         ("clt", dict(format=None)),
         ("beta-table", dict(table_kind=0)),
         ("beta-table", dict(table_points=4.0)),
+        ("beta-table", dict(table_points=1)),
+        ("beta-table", dict(table_points=0)),
         ("clt", dict(out=5)),
         ("clt", dict(model=7)),
     ]
@@ -109,7 +107,7 @@ def test_validate_config_invariants():
 def test_csv_round_trip():
     cfg = default_config("variance-step0", particles=300, replicates=400,
                          replicates2=400, seed=3, timing=False)
-    report = run_variance_step0(cfg)
+    report = run_experiment(cfg)
     text = report_to_csv(report)
     assert text.splitlines()[0] == "experiment,quantity,estimate,ci_lo,ci_hi,n_samples,particles,seed,wall_time_s"
     assert parse_report_csv(text) == report.rows
@@ -120,7 +118,7 @@ def test_csv_round_trip():
 
 def test_rows_carry_cis_and_metadata():
     cfg = default_config("conjecture2", particles=300, replicates=200, seed=1, timing=False)
-    report = run_conjecture2(cfg)
+    report = run_experiment(cfg)
     for row in report.rows:
         assert row.ci_lo <= row.estimate <= row.ci_hi
         assert row.particles == 300 and row.seed == 1 and row.wall_time_s == 0.0
@@ -129,7 +127,7 @@ def test_rows_carry_cis_and_metadata():
 
 def test_timing_field_populated_when_enabled():
     cfg = default_config("conjecture2", particles=300, replicates=200, seed=1, timing=True)
-    report = run_conjecture2(cfg)
+    report = run_experiment(cfg)
     assert all(row.wall_time_s > 0.0 for row in report.rows)
     assert parse_report_csv(report_to_csv(report)) == report.rows
 
@@ -170,7 +168,7 @@ def test_worker_invariance(experiment, extra):
 def test_compare_resamplers_equal_weights():
     cfg = default_config("compare-resamplers", model=FLAT_MODEL, particles=64,
                          replicates=2000, seed=2, timing=False)
-    report = run_compare_resamplers(cfg)
+    report = run_experiment(cfg)
     for kind in ("stratified", "residual", "systematic"):
         assert abs(report.row(f"{kind}_exact").estimate) < 1e-12
         assert abs(report.row(f"{kind}_mc").estimate) < 1e-12
@@ -181,7 +179,7 @@ def test_compare_resamplers_equal_weights():
 def test_clt_runner_small(model):
     cfg = default_config("clt", particles=2000, replicates=1000, replicates2=4000,
                          seed=3, timing=False)
-    report = run_clt(cfg)
+    report = run_experiment(cfg)
     stat = report.row("ks_statistic").estimate
     assert 0.0 < stat < 0.1
     assert report.row("sigma_total").estimate == pytest.approx(0.3455, abs=0.01)
@@ -200,6 +198,9 @@ def test_beta_table_grids():
     assert text.splitlines()[0] == "x,y1,y2,value"
     with pytest.raises(InvalidConfig):
         beta_table_text("bogus")
+    # omitted points: the per-kind default grid
+    for kind, rows in (("beta0", 41**2), ("beta1", 9**4), ("phi0", 101), ("phik", 17**3)):
+        assert len(beta_table_text(kind).splitlines()) == 1 + rows, kind
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,12 @@ def test_cli_config_and_errors(tmp_path):
         ("clt", "--config", str(cfgfile)),
         ("variance-step0", "--seed", "-1", "--particles", "300", "--replicates", "200"),
         ("variance-step1", "--particles", "300", "--replicates", "200", "--replicates2", "1"),
+        ("beta-table", "--points", "-1"),
+        ("beta-table", "--points", "0"),
+        # --out naming a directory: the write fails after the grid or report is built
+        ("beta-table", "--kind", "phi0", "--points", "3", "--out", str(tmp_path)),
+        ("variance-step0", "--particles", "300", "--replicates", "200", "--replicates2", "100",
+         "--out", str(tmp_path)),
     ]
     for args in bad_inputs:
         proc = _run_cli(*args)

@@ -22,7 +22,12 @@ from smclab._engine import batched_select, running_weights, stream_rng
 from smclab._numerics import SNAP_TOL
 from smclab.resampling import SCHEMES, ancestors
 
-from conftest import ancestors_merge_walk, random_profile
+from conftest import (
+    ancestors_merge_walk,
+    assert_same_csr,
+    random_profile,
+    selection_coefficients_loop,
+)
 
 E = math.e
 
@@ -278,6 +283,12 @@ def test_coefficient_laws_random(rng):
         assert np.max(np.abs(coeffs.row_sums() - 1.0)) < 1e-12
         assert np.max(np.abs(coeffs.col_sums() - prof.w)) < 1e-12
         assert coeffs.max_row_nnz() <= math.ceil(1.0 + prof.w.max()) + 1
+        # q_{m,i} is the length of stratum (m-1, m] inside (S_{i-1}, S_i]
+        s = np.concatenate([[0.0], prof.cum])
+        strata = np.arange(1, prof.size + 1)[:, None]
+        overlap = np.maximum(0.0, np.minimum(s[1:], strata) - np.maximum(s[:-1], strata - 1))
+        assert np.max(np.abs(coeffs.matrix.toarray() - overlap)) <= 1e-12
+        assert_same_csr(coeffs.matrix, selection_coefficients_loop(prof))
 
 
 @pytest.mark.parametrize("g", [[1.0, 1.0, 1e-15], [5.0, 1e-14]])
@@ -287,6 +298,7 @@ def test_coefficients_tail_snapped_to_m(g):
     prof = weight_profile(g)
     assert prof.mu[-2] == prof.size + 1
     coeffs = selection_coefficients(prof)
+    assert_same_csr(coeffs.matrix, selection_coefficients_loop(prof))
     fv = np.arange(prof.size, dtype=float)
     assert conditional_variance_oracle(coeffs, fv) == pytest.approx(
         conditional_variance_exact(prof, fv), abs=1e-12)
