@@ -8,6 +8,7 @@ confidence intervals, and a reproducible config-driven experiment harness.
 
 from .errors import InvalidArgument, InvalidConfig, InvalidModel, SmclabError
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
+from .experiments import VarianceReport, recursive_variance_step, sigma2_sq
 from .filtering import FilterTrajectory, StepRecord, run_filter
 from .model import (
     KernelSpec,
@@ -36,15 +37,12 @@ from .resampling import (
     weight_profile,
 )
 from .variance import (
-    VarianceReport,
     beta0,
     beta0_u_integral,
     beta1,
     beta_pair_u_integral,
     correlation_window,
-    recursive_variance_step,
     sigma1_sq,
-    sigma2_sq,
 )
 
 __version__ = "0.1.0"

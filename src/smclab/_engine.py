@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .model import build_model, section7_pf1
 from .resampling import ancestors
 from .variance import (
@@ -81,6 +82,16 @@ def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
         yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
 
 
+def transform_function(model, transform: str):
+    """The function a task sums: the model's f (``'f'``), or the built-in
+    model's step-1 transform P f_1 (``'pf1'``)."""
+    if transform == "f":
+        return model.f
+    if transform == "pf1":
+        return section7_pf1
+    raise InvalidArgument(f"unknown transform {transform!r} (expected 'f' or 'pf1')")
+
+
 class _TaskBase:
     """Common model plumbing; subclasses implement __call__(rows, rng)."""
 
@@ -123,9 +134,8 @@ class SelectedSumTask(_TaskBase):
     transform: str = "f"
 
     def __call__(self, rows: int, rng: np.random.Generator):
-        model = self._model()
         _, y = self._advance(rows, self.step, rng)
-        fn = model.f if self.transform == "f" else section7_pf1
+        fn = transform_function(self._model(), self.transform)
         vals = np.asarray(fn(y), dtype=float).sum(axis=1) / math.sqrt(self.particles)
         return (vals,)
 
@@ -150,11 +160,13 @@ class WeightedRatioTask(_TaskBase):
 
 @dataclass(frozen=True)
 class PhiTupleTask(_TaskBase):
-    """sum_k f(X_1) f(X_{k+1}) * closed-form window integral over i.i.d.
-    initial-law tuples: one sample of the step-0 selection-noise variance."""
+    """T(X_1) T(X_{k+1}) * closed-form window integral over i.i.d. initial-law
+    tuples, one output per window k = 0..K; summed over k, one sample of the
+    step-0 selection-noise variance of T (``transform`` as in SelectedSumTask)."""
 
     model_ref: object
     particles: int = 0  # unused; tuples, not particle systems
+    transform: str = "f"
 
     def __call__(self, rows: int, rng: np.random.Generator):
         model = self._model()
@@ -162,8 +174,8 @@ class PhiTupleTask(_TaskBase):
         k_max = correlation_window(0, pot.ratio())
         x = model.sample_positions((rows, k_max + 1), rng)
         gt = pot.fn(x) / _reference_g_mean(model, 0)
-        fv = np.asarray(model.f(x), dtype=float)
-        return (sum(term[:, 0] for term in window_kernel_terms(fv, gt, k_max)),)
+        fv = np.asarray(transform_function(model, self.transform)(x), dtype=float)
+        return tuple(term[:, 0] for term in window_kernel_terms(fv, gt, k_max))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ compare-resamplers Monte Carlo conditional variances of all four schemes on
                    one frozen population, plus exact values.
 beta-table         CSV grids of the variance kernels for plotting.
 
+The Monte Carlo side of the limit variance lives here too, on the engine's
+streams: :func:`sigma2_sq`, whose report ``variance-step0`` and ``clt``
+print as it stands, and :func:`recursive_variance_step`.
+
 Model selection: ``"model": "section7"`` (built-in benchmark) or an inline
 custom-model table, see :func:`smclab.model.build_custom_model`.
 
@@ -69,10 +73,11 @@ from ._engine import (
     WindowPhiSumTask,
     run_stream,
     stream_rng,
+    transform_function,
 )
-from .errors import InvalidConfig
+from .errors import InvalidArgument, InvalidConfig
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
-from .model import build_model, section7_constants, weighted_reference_mean
+from .model import ModelConfig, build_model
 from .resampling import (
     conditional_variance_exact,
     multinomial_conditional_variance,
@@ -82,12 +87,12 @@ from .resampling import (
     weight_profile,
 )
 from .variance import (
-    _reference_g_mean,
     _step1_recursion_terms,
     beta0,
     beta1,
     beta0_u_integral,
     beta_pair_u_integral,
+    selected_mean,
     sigma1_sq,
 )
 
@@ -204,8 +209,7 @@ def _is_int(value) -> bool:
 _FIELD_TYPES = (
     (("particles", "replicates", "replicates2", "step", "tuple_size", "seed", "workers"),
      _is_int, "an integer"),
-    (("table_points",), lambda v: v is None or (_is_int(v) and v >= 2),
-     "an integer >= 2 or null"),
+    (("table_points",), lambda v: v is None or _is_int(v), "an integer or null"),
     (("timing",), lambda v: isinstance(v, bool), "true or false"),
     (("format", "table_kind"), lambda v: isinstance(v, str), "a string"),
     (("out",), lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -228,9 +232,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {cfg.seed}")
     if cfg.experiment == "beta-table":
-        if cfg.table_kind not in ("beta0", "beta1", "phi0", "phik"):
-            raise InvalidConfig(f"unknown beta-table kind {cfg.table_kind!r}")
+        if cfg.format != "csv":
+            raise InvalidConfig(f"beta-table writes CSV only, got format {cfg.format!r}")
         return
+    if cfg.table_points is not None:
+        raise InvalidConfig(f"table_points applies to beta-table only, not {cfg.experiment}")
     if cfg.replicates < 100:
         raise InvalidConfig("replicates must be >= 100")
     if cfg.experiment in ("variance-step0", "variance-step1", "clt") and cfg.replicates2 < 2:
@@ -267,6 +273,74 @@ def _shift(est: EstimateWithCI, offset: float, scale: float = 1.0) -> EstimateWi
 
 
 # ---------------------------------------------------------------------------
+# limit variance: the Monte Carlo components, on the engine's streams
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class VarianceReport:
+    """Asymptotic variance split: deterministic first component, Monte Carlo
+    second component with its per-window-size breakdown."""
+
+    sigma1_sq: float
+    sigma2_sq: EstimateWithCI
+    per_k: tuple[EstimateWithCI, ...]
+
+    @property
+    def total(self) -> float:
+        return self.sigma1_sq + self.sigma2_sq.point
+
+
+def sigma2_sq(model: ModelConfig, n_samples: int, seed: int = 0, workers: int = 1,
+              transform: str = "f") -> VarianceReport:
+    """Stratified selection-noise variance at step 0, by Monte Carlo.
+
+    Averages sum_{k=0}^{K} T(X_1) T(X_{k+1}) int_0^1 beta_window(k, u, gt) du
+    over ``n_samples`` i.i.d. initial-law tuples drawn on stream 2 of
+    ``seed``, with K = ceil(upper/lower) of the step-0 potential, gt = g / E g
+    and T the model's f (or P f_1 for ``transform='pf1'``).  ``per_k`` holds
+    each window's mean, from the same draws as the total.  The engine
+    rebuilds the model from ``model.spec``.
+    """
+    if n_samples < 1:
+        raise InvalidArgument("n_samples must be >= 1")
+    f = transform_function(model, transform)
+    per_k = run_stream(PhiTupleTask(model.spec, transform=transform), n_samples, seed,
+                       stream=2, workers=workers)
+    return VarianceReport(sigma1_sq=sigma1_sq(model, f), sigma2_sq=mean_estimate(sum(per_k)),
+                          per_k=tuple(mean_estimate(z) for z in per_k))
+
+
+def recursive_variance_step(v_prev: float, model: ModelConfig, step: int,
+                            mc_particles: int = 2000, mc_replicates: int = 2000,
+                            seed: int = 0, workers: int = 1) -> float:
+    """One step of the recursive limit-variance formula.
+
+    ``v_prev`` must be the previous-step limit variance evaluated at the
+    transformed test function P_n f_n, f_n = g_n (m_g f - m_gf) with m_g,
+    m_gf the step-n weighted means of g_n and g_n f.  Then
+
+        V_{n+1} = v_prev / m_g^4
+                + E[g_{n-1} (P_n f_n^2 - (P_n f_n)^2)]_{n-1} / (m_g^4 m_{g,n-1})
+                + E[ sliding-window mean of the aggregate window function ]
+
+    where the last expectation is estimated by Monte Carlo over simulated
+    particle systems of size ``mc_particles`` on stream 90 + ``step`` (the
+    deterministic nested integral it represents grows super-exponentially
+    in dimension and is out of reach beyond simulation).
+    """
+    if step < 1:
+        raise InvalidArgument("recursive variance step needs step >= 1")
+    if model.spec != "section7" or step != 1:
+        raise NotImplementedError(
+            "recursive variance step currently requires the built-in model at step 1"
+        )
+    m_g4, term2 = _step1_recursion_terms()
+    task = WindowPhiSumTask(model_ref=model.spec, particles=mc_particles, step=step)
+    (z,) = run_stream(task, mc_replicates, seed=seed, stream=90 + step, workers=workers)
+    return v_prev / m_g4 + term2 + float(z.mean())
+
+
+# ---------------------------------------------------------------------------
 # runners: each returns ({quantity: estimate} in report order, verdict)
 # ---------------------------------------------------------------------------
 
@@ -297,17 +371,13 @@ def _conjecture2(cfg: ExperimentConfig):
 def _variance_step0(cfg: ExperimentConfig):
     """Step-0 selection noise: direct variance minus the analytic
     weighted-mean term vs. the window-kernel expectation."""
-    model = build_model(cfg.model)
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
-    z_vals, = run_stream(PhiTupleTask(cfg.model), cfg.replicates2, cfg.seed,
-                         stream=2, workers=cfg.workers)
-    s1 = sigma1_sq(model)
-    excess = _shift(variance_estimate(t_vals), -s1)
-    v2 = mean_estimate(z_vals)
-    estimates = {"selection_variance_excess": excess, "window_kernel_mean": v2,
-                 "sigma1_sq": _value(s1)}
-    return estimates, overlap_verdict(excess, v2)
+    limit = sigma2_sq(build_model(cfg.model), cfg.replicates2, cfg.seed, cfg.workers)
+    excess = _shift(variance_estimate(t_vals), -limit.sigma1_sq)
+    estimates = {"selection_variance_excess": excess, "window_kernel_mean": limit.sigma2_sq,
+                 "sigma1_sq": _value(limit.sigma1_sq)}
+    return estimates, overlap_verdict(excess, limit.sigma2_sq)
 
 
 def _variance_step1(cfg: ExperimentConfig):
@@ -345,21 +415,12 @@ def _clt(cfg: ExperimentConfig):
     model = build_model(cfg.model)
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
-    z_vals, = run_stream(PhiTupleTask(cfg.model), cfg.replicates2, cfg.seed,
-                         stream=2, workers=cfg.workers)
-    if cfg.model == "section7":
-        center = section7_constants(0)["selected_f_mean"]
-    else:
-        pot = model.potential(0)
-        fg = weighted_reference_mean(model, 0, lambda x: np.asarray(model.f(x)) * pot(x))
-        center = fg / _reference_g_mean(model, 0)
-    s1 = sigma1_sq(model)
-    s2 = mean_estimate(z_vals)
-    samples = t_vals - math.sqrt(cfg.particles) * center
-    stat, passed = normality_check(samples, 0.0, s1 + s2.point, alpha=0.05)
+    limit = sigma2_sq(model, cfg.replicates2, cfg.seed, cfg.workers)
+    samples = t_vals - math.sqrt(cfg.particles) * selected_mean(model)
+    stat, passed = normality_check(samples, 0.0, limit.total, alpha=0.05)
     estimates = {"ks_statistic": _value(stat, n=cfg.replicates),
-                 "sigma_total": _value(s1 + s2.point, n=cfg.replicates2),
-                 "sigma2_sq": s2}
+                 "sigma_total": _value(limit.total, n=cfg.replicates2),
+                 "sigma2_sq": limit.sigma2_sq}
     return estimates, bool(passed)
 
 
@@ -465,6 +526,8 @@ def beta_table_text(kind: str, points: Optional[int] = None) -> str:
         raise InvalidConfig(f"unknown beta-table kind {kind!r}")
     names, ends, default, kernel = tables[kind]
     n = default if points is None else points
+    if n < 2:
+        raise InvalidConfig(f"table_points must be >= 2, got {points}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([*names, "value"])

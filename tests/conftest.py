@@ -10,6 +10,8 @@ from smclab import (
     InvalidArgument,
     beta0,
     beta1,
+    correlation_window,
+    mean_estimate,
     section7_constants,
     section7_model,
     weight_profile,
@@ -17,6 +19,7 @@ from smclab import (
 from smclab._engine import window_kernel_terms
 from smclab._numerics import gauss_legendre
 from smclab.experiments import CSV_COLUMNS, ReportRow
+from smclab.variance import _reference_g_mean
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure reproduces on the next run without stored state.
@@ -156,6 +159,24 @@ def beta_window_u_integral_numeric(k, y):
         u = a + (b - a) * nodes
         total += (b - a) * float(np.dot(weights, beta_window(k, u, y)))
     return total
+
+
+def sigma2_beta_mc(model, n_samples, rng):
+    """Step-0 selection-noise variance with every window kernel evaluated at
+    one fresh uniform per tuple instead of integrated over it: the
+    independent route that ``smclab.sigma2_sq`` is checked against."""
+    pot = model.potential(0)
+    k_max = correlation_window(0, pot.ratio())
+    x = model.sample_positions((n_samples, k_max + 1), rng)
+    gt = pot(x) / _reference_g_mean(model, 0)
+    fv = np.asarray(model.f(x), dtype=float)
+    mid_cum = np.cumsum(gt, axis=1)
+    uu = rng.random(n_samples)
+    per_k_samples = [fv[:, 0] ** 2 * beta0(uu, gt[:, 0])]
+    for k in range(1, k_max + 1):
+        mid = mid_cum[:, k - 1] - mid_cum[:, 0]
+        per_k_samples.append(-fv[:, 0] * fv[:, k] * beta1(uu, gt[:, 0], mid, gt[:, k]))
+    return mean_estimate(np.sum(per_k_samples, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from smclab.experiments import (
     report_to_csv,
     report_to_json,
     run_experiment,
+    sigma2_sq,
     validate_config,
 )
 
@@ -77,6 +78,10 @@ def test_validate_config_invariants():
         validate_config(default_config("clt", seed=-1))
     with pytest.raises(InvalidConfig):
         validate_config(default_config("variance-step0", replicates2=1))
+    with pytest.raises(InvalidConfig):
+        validate_config(default_config("beta-table", format="json"))
+    with pytest.raises(InvalidConfig):
+        validate_config(default_config("clt", table_points=5))
     # JSON values of the wrong type
     wrong_types = [
         ("clt", dict(workers="2")),
@@ -88,8 +93,6 @@ def test_validate_config_invariants():
         ("clt", dict(format=None)),
         ("beta-table", dict(table_kind=0)),
         ("beta-table", dict(table_points=4.0)),
-        ("beta-table", dict(table_points=1)),
-        ("beta-table", dict(table_points=0)),
         ("clt", dict(out=5)),
         ("clt", dict(model=7)),
     ]
@@ -185,6 +188,32 @@ def test_clt_runner_small(model):
     assert report.row("sigma_total").estimate == pytest.approx(0.3455, abs=0.01)
 
 
+def test_runners_report_the_one_sigma2_route(model):
+    """variance-step0 and clt report sigma2_sq's own estimate, bit for bit."""
+    limit = sigma2_sq(model, 300, seed=4)
+    step0 = run_experiment(default_config("variance-step0", particles=300, replicates=400,
+                                          replicates2=300, seed=4, timing=False))
+    clt = run_experiment(default_config("clt", particles=300, replicates=400,
+                                        replicates2=300, seed=4, timing=False))
+    s2 = limit.sigma2_sq
+    for row in (step0.row("window_kernel_mean"), clt.row("sigma2_sq")):
+        assert (row.estimate, row.ci_lo, row.ci_hi, row.n_samples) == (s2.point, s2.lo, s2.hi, s2.n)
+    assert step0.row("sigma1_sq").estimate == limit.sigma1_sq
+    assert clt.row("sigma_total").estimate == limit.total
+
+
+def test_model_name_does_not_select_the_builtin_closed_forms():
+    """A custom model named "section7" is still a custom model."""
+    for experiment in ("variance-step0", "clt"):
+        rows = [
+            run_experiment(default_config(experiment, model={**FLAT_MODEL, "name": name},
+                                          particles=300, replicates=400, replicates2=300,
+                                          seed=2, timing=False)).rows
+            for name in ("section7", "flat")
+        ]
+        assert rows[0] == rows[1], experiment
+
+
 def test_beta_table_grids():
     text = beta_table_text("beta0", points=5)
     lines = text.strip().splitlines()
@@ -198,6 +227,9 @@ def test_beta_table_grids():
     assert text.splitlines()[0] == "x,y1,y2,value"
     with pytest.raises(InvalidConfig):
         beta_table_text("bogus")
+    for points in (-1, 0, 1):
+        with pytest.raises(InvalidConfig):
+            beta_table_text("phi0", points)
     # omitted points: the per-kind default grid
     for kind, rows in (("beta0", 41**2), ("beta1", 9**4), ("phi0", 101), ("phik", 17**3)):
         assert len(beta_table_text(kind).splitlines()) == 1 + rows, kind
@@ -250,6 +282,7 @@ def test_cli_config_and_errors(tmp_path):
         ("clt", {"seed": 1.5}),
         ("compare-resamplers", {"particles": 300.5}),
         ("conjecture2", {"step": True}),
+        ("beta-table", {"table_kind": "bogus"}),
     ]
     typed = []
     for i, (experiment, fields) in enumerate(wrong_types):
@@ -262,6 +295,8 @@ def test_cli_config_and_errors(tmp_path):
         ("variance-step1", "--particles", "300", "--replicates", "200", "--replicates2", "1"),
         ("beta-table", "--points", "-1"),
         ("beta-table", "--points", "0"),
+        ("beta-table", "--format", "json"),
+        ("clt", "--points", "5"),
         # --out naming a directory: the write fails after the grid or report is built
         ("beta-table", "--kind", "phi0", "--points", "3", "--out", str(tmp_path)),
         ("variance-step0", "--particles", "300", "--replicates", "200", "--replicates2", "100",

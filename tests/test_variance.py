@@ -21,6 +21,7 @@ from smclab import (
 from conftest import (
     beta_window,
     beta_window_u_integral_numeric,
+    sigma2_beta_mc,
     window_integral_breaks,
     window_integral_closed,
 )
@@ -134,30 +135,32 @@ def test_sigma1_closed_form_and_reductions(model):
     assert sigma1_sq(flat) == pytest.approx(1.0 / 12.0, abs=1e-10)
 
 
-def test_sigma2_zero_function(model, rng):
-    rep = sigma2_sq(model, n_samples=500, rng=rng, f=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+def test_sigma2_zero_function():
+    zero_f = build_custom_model({"name": "zero-f", "g": {"form": "exp"},
+                                 "f": {"form": "poly", "coeffs": [0.0]}})
+    rep = sigma2_sq(zero_f, 500, seed=3)
     assert rep.sigma2_sq.point == 0.0
     assert rep.sigma2_sq.half_width == 0.0
 
 
 def test_sigma2_value_and_method_agreement(model):
-    closed = sigma2_sq(model, method="closed_form_mc", n_samples=150_000,
-                       rng=np.random.default_rng(11))
-    direct = sigma2_sq(model, method="beta_mc", n_samples=150_000,
-                       rng=np.random.default_rng(12))
+    closed = sigma2_sq(model, 150_000, seed=11)
+    direct = sigma2_beta_mc(model, 150_000, np.random.default_rng(12))
     assert len(closed.per_k) == 4
+    # window 3 vanishes: its middle mass gt_1 + gt_2 >= 2/(e-1) > 1
+    assert closed.per_k[3].point == 0.0 and closed.per_k[3].half_width == 0.0
     assert closed.total == pytest.approx(closed.sigma1_sq + closed.sigma2_sq.point, rel=1e-12)
     # reference value of the selection-noise component
     assert closed.sigma2_sq.point == pytest.approx(0.0793412, abs=6 * closed.sigma2_sq.half_width)
-    # the two estimators agree within joint intervals
-    joint = closed.sigma2_sq.half_width + direct.sigma2_sq.half_width
-    assert abs(closed.sigma2_sq.point - direct.sigma2_sq.point) < joint
+    # the closed form and the kernel at a fresh uniform agree within joint intervals
+    joint = closed.sigma2_sq.half_width + direct.half_width
+    assert abs(closed.sigma2_sq.point - direct.point) < joint
     # integrating the uniform out can only shrink the sampler variance
-    assert closed.sigma2_sq.half_width < direct.sigma2_sq.half_width
+    assert closed.sigma2_sq.half_width < direct.half_width
     with pytest.raises(InvalidArgument):
-        sigma2_sq(model, n_samples=0)
+        sigma2_sq(model, 0)
     with pytest.raises(InvalidArgument):
-        sigma2_sq(model, method="bogus")
+        sigma2_sq(model, 100, transform="bogus")
 
 
 def test_expected_conditional_variance_converges_to_sigma2(model):
@@ -173,7 +176,7 @@ def test_expected_conditional_variance_converges_to_sigma2(model):
         vals[j] = conditional_variance_exact(prof, np.exp(x))
     from smclab.estimators import mean_estimate
     got = mean_estimate(vals)
-    ref = sigma2_sq(model, n_samples=200_000, rng=np.random.default_rng(6)).sigma2_sq
+    ref = sigma2_sq(model, 200_000, seed=6).sigma2_sq
     assert abs(got.point - ref.point) < 3 * (got.half_width + ref.half_width)
 
 
@@ -199,11 +202,7 @@ def test_window_kernel_terms_against_numeric(rng):
 def test_recursive_variance_step(model):
     """Two-step limit variance assembled recursively vs. simulated directly."""
     # previous-step variance of the transformed test function
-    from smclab.model import section7_pf1
-    s1 = sigma1_sq(model, f=section7_pf1)
-    s2 = sigma2_sq(model, f=section7_pf1, n_samples=300_000,
-                   rng=np.random.default_rng(21)).sigma2_sq.point
-    v_prev = s1 + s2
+    v_prev = sigma2_sq(model, 300_000, seed=21, transform="pf1").total
     v2 = recursive_variance_step(v_prev, model, step=1, mc_particles=1000,
                                  mc_replicates=1500, seed=31)
     # direct simulation of the step-2 selected sums
