@@ -73,13 +73,30 @@ def batched_select(x: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> np
 def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
     """Yield f_i f_{i+k} int_0^1 beta_window(k, u, gt_i..gt_{i+k}) du over
     every window start i, for k = 0..k_max: one (rows, n - k) term at a time,
-    so that no more than one term of the whole population is alive at once."""
-    n = gt.shape[1]
+    so that no more than one term of the whole population is alive at once.
+
+    Exactly one term is yielded per k, whatever the batch: callers index the
+    terms by k, and ``PhiTupleTask``'s batches must agree on their number of
+    outputs.  A window is live while its middle mass gt_{i+1} + ... +
+    gt_{i+k-1} is below 1; the kernel vanishes once it reaches 1.  The middle
+    mass is a difference of one row's running sums, so for a fixed start i it
+    is non-decreasing in k, also in floating point.  Hence, once no window of
+    a term is live, no window of any later term is either: from that k on the
+    kernel is not evaluated and the term is +0.0 everywhere, which equals
+    what the kernel would give.
+    """
+    rows, n = gt.shape
     cum = np.cumsum(gt, axis=1)
     yield fv**2 * beta0_u_integral(gt)
+    live = True
     for k in range(1, k_max + 1):
-        mid = cum[:, k - 1:n - 1] - cum[:, :n - k]
-        yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
+        if live:
+            mid = cum[:, k - 1:n - 1] - cum[:, :n - k]
+            live = bool((mid < 1.0).any())
+        if live:
+            yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
+        else:
+            yield np.zeros((rows, n - k))
 
 
 def transform_function(model, transform: str):

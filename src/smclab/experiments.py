@@ -242,6 +242,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment in ("variance-step0", "variance-step1", "clt") and cfg.replicates2 < 2:
         raise InvalidConfig(f"replicates2 must be >= 2, got {cfg.replicates2}")
     model = build_model(cfg.model)
+    # equal weights are a valid frozen population for compare-resamplers, but
+    # the limit experiments need uniform fractional parts, and with a constant
+    # potential every fractional part is 0
+    if cfg.experiment != "compare-resamplers" and model.potential(0).ratio() == 1.0:
+        raise InvalidConfig(
+            f"{cfg.experiment} needs a step-0 potential that is not constant on its support: "
+            "with equal weights the fractional parts are all 0 and the limit split does not apply"
+        )
     max_step = 2 if cfg.experiment in ("variance-step1", "conjecture2") else 1
     needed = 1 + max(
         math.ceil(model.potential(n).ratio()) for n in range(max_step + 1)

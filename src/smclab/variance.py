@@ -86,15 +86,31 @@ def beta1(x, y1, y2, y3):
 # ---------------------------------------------------------------------------
 
 def beta0_u_integral(y):
-    """int_0^1 beta0(u, y) du = (1/3) (1 - (1-y)^3 1{y < 1})."""
-    y = np.asarray(y, dtype=float)
-    r = (1.0 - (1.0 - y) ** 3 * (y < 1.0)) / 3.0
+    """int_0^1 beta0(u, y) du = (1/3) (1 - (1-y)^3 1{y < 1}).
+
+    Equal to 1/3 exactly once y >= 1, since the cube gap is then 0.
+    """
+    r = (1.0 - _cube_gap(np.asarray(y, dtype=float))) / 3.0
     return r if r.shape else float(r)
 
 
 def _cube_gap(t):
-    # (1-t)^3 1{t < 1}
-    return (1.0 - t) ** 3 * (t < 1.0)
+    """(1-t)^3 1{t < 1}, with ``pow`` evaluated only where t < 1.
+
+    ``pow`` is masked because numpy's ``pow`` is slow on the negative bases of
+    dead entries (t >= 1), and most entries of the later window terms are
+    dead.  A dead entry is written as +0.0 without calling ``pow``; a live one
+    is the same ``pow(1 - t, 3)`` as in ``(1 - t)**3 * (t < 1)``, bit for bit.
+    Where that product gave -0.0 (or NaN once the cube overflowed), this
+    gives +0.0.
+
+    A 0-d ``t`` keeps the scalar route: a numpy scalar's ``pow`` is libm's,
+    an array's is numpy's own loop, and the two differ in the last bit for
+    some bases.
+    """
+    if np.ndim(t) == 0:
+        return (1.0 - t) ** 3 if t < 1.0 else np.float64(0.0)
+    return np.power(1.0 - t, 3.0, out=np.zeros_like(t), where=t < 1.0)
 
 
 def beta_pair_u_integral(y0, mid, yk):

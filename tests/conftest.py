@@ -115,6 +115,28 @@ def window_integral_closed(k, f, y):
     return float(list(window_kernel_terms(f, y, k))[k][0, 0])
 
 
+def cube_gap_unmasked(t):
+    """(1-t)^3 1{t < 1} as a plain product, ``pow`` on every entry: the
+    formula the engine's masked cube gap must reproduce bit for bit."""
+    return (1.0 - t) ** 3 * (t < 1.0)
+
+
+def window_kernel_terms_dense(fv, gt, k_max):
+    """Every window term k = 0..k_max with the kernel evaluated on every
+    entry of every term, unmasked and without an early stop: the reference
+    that ``window_kernel_terms`` must equal term for term."""
+    n = gt.shape[1]
+    cum = np.cumsum(gt, axis=1)
+    terms = [fv**2 * ((1.0 - cube_gap_unmasked(gt)) / 3.0)]
+    for k in range(1, k_max + 1):
+        y0, yk = gt[:, :n - k], gt[:, k:]
+        mid = cum[:, k - 1:n - 1] - cum[:, :n - k]
+        pair = -(cube_gap_unmasked(mid) - cube_gap_unmasked(mid + yk)
+                 - cube_gap_unmasked(y0 + mid) + cube_gap_unmasked(y0 + mid + yk)) / 3.0
+        terms.append(fv[:, :n - k] * fv[:, k:] * pair)
+    return terms
+
+
 def window_integral_breaks(k, y):
     """0, 1 and every u in (0, 1) where a fractional part or an indicator
     inside beta_window(k, u, y) switches, sorted."""

@@ -25,6 +25,8 @@ FLAT_MODEL = {
     "g": {"form": "poly", "coeffs": [2.0]},
     "f": {"form": "poly", "coeffs": [0.0, 1.0]},
 }
+# the smallest change of FLAT_MODEL that the limit experiments accept
+SLOPED_MODEL = {**FLAT_MODEL, "name": "sloped", "g": {"form": "poly", "coeffs": [1.0, 0.5]}}
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,12 @@ def test_validate_config_invariants():
     for experiment, fields in wrong_types:
         with pytest.raises(InvalidConfig):
             validate_config(default_config(experiment, **fields))
-    validate_config(default_config("variance-step0", model=FLAT_MODEL, particles=300,
+    # a constant potential leaves every fractional part at 0: outside the limit split
+    for experiment in ("variance-step0", "variance-step1", "clt", "conjecture1", "conjecture2"):
+        with pytest.raises(InvalidConfig, match="not constant"):
+            validate_config(default_config(experiment, model=FLAT_MODEL))
+    validate_config(default_config("compare-resamplers", model=FLAT_MODEL))
+    validate_config(default_config("variance-step0", model=SLOPED_MODEL, particles=300,
                                    replicates=200, replicates2=200))
 
 
@@ -206,10 +213,10 @@ def test_model_name_does_not_select_the_builtin_closed_forms():
     """A custom model named "section7" is still a custom model."""
     for experiment in ("variance-step0", "clt"):
         rows = [
-            run_experiment(default_config(experiment, model={**FLAT_MODEL, "name": name},
+            run_experiment(default_config(experiment, model={**SLOPED_MODEL, "name": name},
                                           particles=300, replicates=400, replicates2=300,
                                           seed=2, timing=False)).rows
-            for name in ("section7", "flat")
+            for name in ("section7", "sloped")
         ]
         assert rows[0] == rows[1], experiment
 
@@ -289,7 +296,10 @@ def test_cli_config_and_errors(tmp_path):
         path = tmp_path / f"typed{i}.json"
         path.write_text(json.dumps({"schema": 1, "experiment": experiment, **fields}))
         typed.append((experiment, "--config", str(path)))
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"schema": 1, "experiment": "variance-step0", "model": FLAT_MODEL}))
     bad_inputs = typed + [
+        ("variance-step0", "--config", str(flat), "--particles", "300", "--replicates", "200"),
         ("clt", "--config", str(cfgfile)),
         ("variance-step0", "--seed", "-1", "--particles", "300", "--replicates", "200"),
         ("variance-step1", "--particles", "300", "--replicates", "200", "--replicates2", "1"),

@@ -17,13 +17,18 @@ from smclab import (
     sigma2_sq,
     weight_profile,
 )
+from smclab import _engine
+from smclab.estimators import mean_estimate
+from smclab.variance import _cube_gap, _reference_g_mean, beta_pair_u_integral
 
 from conftest import (
     beta_window,
     beta_window_u_integral_numeric,
+    cube_gap_unmasked,
     sigma2_beta_mc,
     window_integral_breaks,
     window_integral_closed,
+    window_kernel_terms_dense,
 )
 
 E = math.e
@@ -197,6 +202,126 @@ def test_window_kernel_terms_against_numeric(rng):
                 assert term[r, i] == pytest.approx(expected, abs=1e-9)
     zero = np.zeros_like(fv)
     assert all(np.all(t == 0.0) for t in window_kernel_terms(zero, gt, 3))
+
+
+# ---------------------------------------------------------------------------
+# the masked cube gap and the early stop of the window-kernel evaluator
+# ---------------------------------------------------------------------------
+
+SLOPED = {"name": "sloped", "g": {"form": "exp", "rate": 2.0}, "f": {"form": "poly", "coeffs": [0.5, 1.0]}}
+
+
+def _same_bits(a, b):
+    """Equal bit for bit up to the sign of zero (adding +0.0 maps -0.0 to
+    +0.0 and leaves every other value as it is)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def _last_live_k(gt, k_max):
+    """Largest k <= k_max with some window's middle mass below 1, per row."""
+    n = gt.shape[1]
+    cum = np.cumsum(gt, axis=1)
+    last = np.zeros(len(gt), dtype=int)
+    for k in range(1, k_max + 1):
+        live = (cum[:, k - 1:n - 1] - cum[:, :n - k] < 1.0).any(axis=1)
+        last[live] = k
+    return last
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """Number of window starts n - k of each pair-kernel evaluation by the
+    engine, in call order."""
+    calls = []
+    original = _engine.beta_pair_u_integral
+
+    def counted(y0, mid, yk):
+        calls.append(y0.shape[1])
+        return original(y0, mid, yk)
+
+    monkeypatch.setattr(_engine, "beta_pair_u_integral", counted)
+    return calls
+
+
+def test_cube_gap_matches_unmasked_product():
+    t = np.array([1.0, np.nextafter(1.0, 0.0), 0.0, -0.5, -3.0, 0.25, 1.5, 2.0])
+    assert _same_bits(_cube_gap(t), cube_gap_unmasked(t))
+    for v in t:
+        assert _same_bits(_cube_gap(np.asarray(v)), cube_gap_unmasked(np.asarray(v)))
+    # the unmasked cube overflows to -inf at 1e300 and -inf * 0 is NaN; the
+    # masked one never evaluates it
+    with np.errstate(all="raise"):
+        for big in (np.array([1e300]), np.asarray(1e300)):
+            assert _same_bits(_cube_gap(big), np.zeros_like(big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(cube_gap_unmasked(np.array([1e300]))).all()
+    # 0-d inputs keep the public integrals' Python floats and their bits
+    y = np.asarray(0.5)
+    assert type(beta0_u_integral(0.5)) is float
+    assert beta0_u_integral(0.5) == float((1.0 - cube_gap_unmasked(y)) / 3.0)
+    y0, mid, yk = np.asarray(0.2), np.asarray(0.3), np.asarray(0.4)
+    old_pair = -(cube_gap_unmasked(mid) - cube_gap_unmasked(mid + yk)
+                 - cube_gap_unmasked(y0 + mid) + cube_gap_unmasked(y0 + mid + yk)) / 3.0
+    assert type(beta_pair_u_integral(0.2, 0.3, 0.4)) is float
+    assert beta_pair_u_integral(0.2, 0.3, 0.4) == float(old_pair)
+
+
+def _window_inputs(model, x, step):
+    pot = model.potential(step)
+    gt = pot.fn(x) / _reference_g_mean(model, step)
+    return np.asarray(model.f(x), dtype=float), gt, correlation_window(0, pot.ratio())
+
+
+def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
+    """Every term equals the unmasked, every-k evaluation bit for bit (up to
+    the sign of zero), and the pair kernel is never evaluated past the last
+    live window size."""
+    sloped = build_custom_model(SLOPED)
+    step1 = _engine.WindowPhiSumTask("section7", 300, step=1)
+    x1, _ = step1._advance(6, 1, _engine.stream_rng(1, 3, 0))
+    fv_s, gt_s, k_s = _window_inputs(sloped, np.random.default_rng(3).random((12, 9)), 0)
+    # the stop differs between the sloped rows; only k <= 1 is live once every gt >= 1
+    assert len(set(_last_live_k(gt_s, k_s))) > 1
+    assert _last_live_k(1.0 + gt_s, k_s).max() == 1
+    cases = {
+        "section7 step 1": _window_inputs(model, x1, 1),
+        "sloped tuples": (fv_s, gt_s, k_s),
+        "only k <= 1 live": (fv_s, 1.0 + gt_s, k_s),
+    }
+    for name, (fv, gt, k_max) in cases.items():
+        last = _last_live_k(gt, k_max)
+        pair_calls.clear()
+        terms = list(_engine.window_kernel_terms(fv, gt, k_max))
+        dense = window_kernel_terms_dense(fv, gt, k_max)
+        assert len(terms) == k_max + 1, name
+        for k, (term, ref) in enumerate(zip(terms, dense)):
+            assert np.array_equal(term, ref) and _same_bits(term, ref), (name, k)
+        n = gt.shape[1]
+        assert pair_calls == [n - k for k in range(1, last.max() + 1)], name
+        assert last.max() < k_max, name  # the stop is exercised
+
+
+def test_per_k_is_batch_invariant(monkeypatch, pair_calls):
+    """sigma2_sq keeps one window mean per k = 0..K when batches stop at
+    different window sizes, and its total is the mean of the per-k sums."""
+    sloped = build_custom_model(SLOPED)
+    k_max = correlation_window(0, sloped.potential(0).ratio())
+    monkeypatch.setattr(_engine, "BATCH_TARGET", 4)  # 4 tuples per batch
+    n, seed = 40, 7
+    task = _engine.PhiTupleTask(sloped.spec)
+    stops = set()
+    for b in range(n // 4):
+        pair_calls.clear()
+        assert len(task(4, _engine.stream_rng(seed, 2, b))) == k_max + 1
+        stops.add(len(pair_calls))
+    assert len(stops) > 1, stops
+    rep = sigma2_sq(sloped, n, seed=seed)
+    samples = _engine.run_stream(task, n, seed, stream=2)
+    assert len(rep.per_k) == len(samples) == k_max + 1
+    assert rep.sigma2_sq == mean_estimate(sum(samples))
+    assert rep.per_k == tuple(mean_estimate(z) for z in samples)
+    assert rep.sigma2_sq.point == pytest.approx(sum(e.point for e in rep.per_k), rel=1e-12)
 
 
 def test_recursive_variance_step(model):
