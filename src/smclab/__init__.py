@@ -32,7 +32,6 @@ from .resampling import (
     residual_conditional_variance,
     resample,
     selection_coefficients,
-    stratified_resample,
     systematic_conditional_variance,
     weight_profile,
 )

@@ -61,13 +61,28 @@ def batched_select(x: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> np
     Row r draws the r-th block of M uniforms and searches its own running
     sums with the library's row-wise ``ancestors``.  The running sums are
     plain ``np.cumsum`` rather than the library's compensated ones, so a row
-    agrees with ``stratified_resample`` on the same draws up to their
-    rounding.
+    agrees with ``resample("stratified", ...)`` on the same draws up to
+    their rounding.
     """
     rows, m = x.shape
     cum = running_weights(g)
     strata = np.arange(1, m + 1, dtype=float)[None, :] - rng.random((rows, m))
     return np.take_along_axis(x, ancestors(cum, strata), axis=1)
+
+
+def populations(model, shape, steps: int, rng: np.random.Generator):
+    """The one population loop: yield (Y_n, X_n) for n = 0..steps, Y_0 = X_0.
+
+    X_0 of the given (rows, M) shape is drawn from the initial law; round
+    n + 1 selects Y_{n+1} from X_n on g_n(X_n) and mutates it with the step
+    n + 1 kernel.  Every draw comes from ``rng``, in this order.
+    """
+    x = model.sample_positions(shape, rng)
+    yield x, x
+    for n in range(steps):
+        y = batched_select(x, model.potential(n).fn(x), rng)
+        x = model.kernel(n + 1).sample(y, rng)
+        yield y, x
 
 
 def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
@@ -127,16 +142,10 @@ class _TaskBase:
         """Initial draw plus ``steps`` selection/mutation rounds.
 
         Returns (x, y) with x the mutated population after the last round
-        and y the last selected population (y is None when steps = 0).
+        and y the last selected population (y = x when steps = 0).
         """
-        model = self._model()
-        m = self.particles
-        x = model.sample_positions((rows, m), rng)
-        y = None
-        for n in range(steps):
-            g = model.potential(n).fn(x)
-            y = batched_select(x, g, rng)
-            x = model.kernel(n + 1).sample(y, rng)
+        for y, x in populations(self._model(), (rows, self.particles), steps, rng):
+            pass
         return x, y
 
 

@@ -43,11 +43,14 @@ Config schema (version 1)::
 
     {"schema": 1, "experiment": "variance-step0", "model": "section7",
      "particles": 2000, "replicates": 100000, "replicates2": 10000,
-     "step": 1, "tuple_size": 1, "seed": 0, "workers": 2,
-     "out": "report.csv", "format": "csv", "timing": true,
-     "table_kind": "beta0", "table_points": 41}
+     "seed": 0, "workers": 2, "out": "report.csv", "format": "csv",
+     "timing": true}
 
-Unknown keys are rejected.  CSV columns are exactly
+Every experiment takes model, seed, out, format and timing; the other
+fields it reads are those of its row of ``_DESK_DEFAULTS`` (``step`` and
+``tuple_size`` for conjecture2, ``table_kind`` and ``table_points`` for
+beta-table).  Unknown keys and keys the experiment does not read are
+rejected.  CSV columns are exactly
 ``experiment,quantity,estimate,ci_lo,ci_hi,n_samples,particles,seed,wall_time_s``.
 """
 
@@ -92,18 +95,9 @@ from .variance import (
     beta1,
     beta0_u_integral,
     beta_pair_u_integral,
+    min_particles,
     selected_mean,
     sigma1_sq,
-)
-
-EXPERIMENTS = (
-    "conjecture1",
-    "conjecture2",
-    "variance-step0",
-    "variance-step1",
-    "clt",
-    "compare-resamplers",
-    "beta-table",
 )
 
 CSV_COLUMNS = ("experiment", "quantity", "estimate", "ci_lo", "ci_hi",
@@ -112,16 +106,19 @@ CSV_COLUMNS = ("experiment", "quantity", "estimate", "ci_lo", "ci_hi",
 #: agreement factor of the paired verdicts
 OVERLAP_FACTOR = 3.0
 
-# desk-scale defaults; the reference scale is reached by raising replicates/particles
+# the fields each experiment reads besides _READ_BY_ALL, at desk scale; the
+# reference scale is reached by raising replicates/particles
 _DESK_DEFAULTS = {
-    "conjecture1": dict(particles=2000, replicates=100_000),
-    "conjecture2": dict(particles=2000, replicates=10_000),
-    "variance-step0": dict(particles=2000, replicates=100_000, replicates2=10_000),
-    "variance-step1": dict(particles=2000, replicates=100_000, replicates2=10_000),
-    "clt": dict(particles=10_000, replicates=10_000, replicates2=10_000),
+    "conjecture1": dict(particles=2000, replicates=100_000, workers=1),
+    "conjecture2": dict(particles=2000, replicates=10_000, step=1, tuple_size=1, workers=1),
+    "variance-step0": dict(particles=2000, replicates=100_000, replicates2=10_000, workers=1),
+    "variance-step1": dict(particles=2000, replicates=100_000, replicates2=10_000, workers=1),
+    "clt": dict(particles=10_000, replicates=10_000, replicates2=10_000, workers=1),
     "compare-resamplers": dict(particles=100, replicates=100_000),
-    "beta-table": dict(particles=0, replicates=0),
+    "beta-table": dict(table_kind="beta0", table_points=None),
 }
+_READ_BY_ALL = ("model", "seed", "out", "format", "timing")
+EXPERIMENTS = tuple(_DESK_DEFAULTS)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -172,10 +169,17 @@ class ExperimentReport:
 
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
-    """Desk-scale config for an experiment, with overrides applied."""
+    """Desk-scale config for an experiment, with overrides applied.
+
+    An override of a field that the experiment does not read is an error.
+    """
     if experiment not in EXPERIMENTS:
         raise InvalidConfig(f"unknown experiment {experiment!r} (choose from {EXPERIMENTS})")
     base = dict(_DESK_DEFAULTS[experiment])
+    unread = set(overrides) - {*base, *_READ_BY_ALL}
+    if unread:
+        raise InvalidConfig(f"{experiment} does not read {sorted(unread)}; "
+                            f"it reads {[*base, *_READ_BY_ALL]}")
     base.update(overrides)
     return ExperimentConfig(experiment=experiment, **base)
 
@@ -250,10 +254,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"{cfg.experiment} needs a step-0 potential that is not constant on its support: "
             "with equal weights the fractional parts are all 0 and the limit split does not apply"
         )
-    max_step = 2 if cfg.experiment in ("variance-step1", "conjecture2") else 1
-    needed = 1 + max(
-        math.ceil(model.potential(n).ratio()) for n in range(max_step + 1)
-    )
+    needed = min_particles(model, 2 if cfg.experiment in ("variance-step1", "conjecture2") else 1)
     if cfg.particles < needed:
         raise InvalidConfig(
             f"particles must be >= 1 + ceil(max potential ratio) = {needed}, got {cfg.particles}"

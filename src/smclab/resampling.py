@@ -144,11 +144,6 @@ def resample(kind: str, profile: WeightProfile, rng: np.random.Generator,
     raise InvalidArgument(f"unknown resampling kind {kind!r} (expected one of {SCHEMES})")
 
 
-def stratified_resample(profile: WeightProfile, rng: np.random.Generator) -> np.ndarray:
-    """The paper's scheme: ``resample("stratified", profile, rng)``."""
-    return resample("stratified", profile, rng)
-
-
 # ---------------------------------------------------------------------------
 # exact conditional law
 # ---------------------------------------------------------------------------

@@ -140,6 +140,12 @@ def correlation_window(k: int, ratio: float) -> int:
     return int(math.ceil(ratio * (1 + k) - 1e-12))
 
 
+def min_particles(model: ModelConfig, steps: int) -> int:
+    """1 + ceil(max potential ratio over steps 0..``steps``): the fewest
+    particles the variance formulas of those steps assume."""
+    return 1 + math.ceil(max(model.potential(n).ratio() for n in range(steps + 1)))
+
+
 # ---------------------------------------------------------------------------
 # deterministic variance components
 # ---------------------------------------------------------------------------

@@ -307,6 +307,11 @@ def test_cli_config_and_errors(tmp_path):
         ("beta-table", "--points", "0"),
         ("beta-table", "--format", "json"),
         ("clt", "--points", "5"),
+        # flags the experiment does not read
+        ("clt", "--kind", "phi0"),
+        ("variance-step0", "--step", "7", "--tuple-size", "9"),
+        ("conjecture1", "--replicates2", "1"),
+        ("compare-resamplers", "--workers", "3"),
         # --out naming a directory: the write fails after the grid or report is built
         ("beta-table", "--kind", "phi0", "--points", "3", "--out", str(tmp_path)),
         ("variance-step0", "--particles", "300", "--replicates", "200", "--replicates2", "100",

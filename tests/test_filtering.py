@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from smclab import conditional_mean, run_filter, weight_profile
-from smclab._engine import Conjecture2Task, stream_rng
-from smclab.model import build_custom_model
+from smclab._engine import Conjecture2Task, SelectedSumTask, stream_rng
+from smclab.model import build_custom_model, build_model
 from smclab.variance import _reference_g_mean
 
 from conftest import conjecture2_lhs, conjecture2_rhs
 
 E = math.e
+SLOPED_MODEL = {
+    "name": "sloped",
+    "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
+    "kernel": {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0},
+    "g": {"form": "poly", "coeffs": [1.0, 0.5]},
+    "f": {"form": "poly", "coeffs": [0.0, 1.0]},
+}
 
 
 def test_zero_steps_is_initial_population(model):
@@ -28,6 +35,19 @@ def test_bit_reproducible(model):
         assert np.array_equal(a.record(n).selected, b.record(n).selected)
     c = run_filter(model, 500, 3, seed=100)
     assert not np.array_equal(a.record(3).mutated, c.record(3).mutated)
+
+
+@pytest.mark.parametrize("ref", ["section7", SLOPED_MODEL], ids=["section7", "sloped"])
+@pytest.mark.parametrize("step", [1, 2])
+def test_run_filter_is_the_engine_loop(ref, step):
+    """A filter trajectory is row 0 of the engine's batch 0 of stream 0: the
+    engine's selected sum equals the one of the recorded generation, bit for
+    bit."""
+    m, seed = 300, 12
+    model = build_model(ref)
+    (task_sum,) = SelectedSumTask(ref, m, step=step)(1, stream_rng(seed, 0, 0))
+    rec = run_filter(model, m, step, seed).record(step)
+    assert task_sum[0] == np.asarray(model.f(rec.selected), dtype=float).sum() / math.sqrt(m)
 
 
 def test_warns_below_window_threshold(model):
@@ -51,7 +71,7 @@ def test_selection_identity_monte_carlo(model):
     from smclab.resampling import resample
     traj = run_filter(model, 200, 1, seed=3)
     rec = traj.record(1)
-    prof = rec.profile
+    prof = weight_profile(model.potential(1)(rec.mutated))
     fv = np.exp(rec.mutated)
     target = conditional_mean(prof, fv)
     rng = np.random.default_rng(8)
@@ -65,7 +85,7 @@ def test_conjecture2_sides_close_at_scale(model):
     rec = run_filter(model, 50_000, 1, seed=11).record(1)
     h = lambda a, b: a + b
     psi = lambda u, w0, w1: u + w0 + w1
-    lhs = conjecture2_lhs(rec.mutated, rec.profile, 1, h, psi)
+    lhs = conjecture2_lhs(rec.mutated, weight_profile(model.potential(1)(rec.mutated)), 1, h, psi)
     # the limit side with the uniform replaced by its mean
     gt = model.potential(1)(rec.mutated) / _reference_g_mean(model, 1)
     rhs_mean = conjecture2_rhs(rec.mutated, gt, 1, h, lambda u, w0, w1: 0.5 + w0 + w1,
@@ -85,7 +105,7 @@ def test_conjecture2_equal_weights_u_free_psi():
     rec = run_filter(flat, 500, 1, seed=4).record(1)
     h = lambda a, b: a * b
     psi = lambda u, w0, w1: 3.0 * w0 + w1  # no dependence on the fractional part
-    lhs = conjecture2_lhs(rec.mutated, rec.profile, 1, h, psi)
+    lhs = conjecture2_lhs(rec.mutated, weight_profile(flat.potential(1)(rec.mutated)), 1, h, psi)
     gt = flat.potential(1)(rec.mutated) / _reference_g_mean(flat, 1)
     rhs = conjecture2_rhs(rec.mutated, gt, 1, h, psi, np.random.default_rng(1).random())
     assert lhs == pytest.approx(rhs, abs=1e-9)

@@ -14,7 +14,6 @@ from smclab import (
     resample,
     residual_conditional_variance,
     selection_coefficients,
-    stratified_resample,
     systematic_conditional_variance,
     weight_profile,
 )
@@ -103,7 +102,7 @@ def test_partial_sum_relations(gs):
 def test_stratified_equal_weights_identity(rng):
     prof = weight_profile(np.full(7, 2.5))
     for _ in range(5):
-        assert np.array_equal(stratified_resample(prof, rng), np.arange(7))
+        assert np.array_equal(resample("stratified", prof, rng), np.arange(7))
 
 
 def test_stratified_two_particle_strata():
@@ -119,7 +118,7 @@ def test_stratified_two_particle_strata():
 def test_stratified_ancestors_non_decreasing(rng):
     for _ in range(20):
         prof = random_profile(rng)
-        assert np.all(np.diff(stratified_resample(prof, rng)) >= 0)
+        assert np.all(np.diff(resample("stratified", prof, rng)) >= 0)
 
 
 def test_merge_walk_matches_binary_search(rng):
@@ -195,7 +194,7 @@ def test_engine_selection_matches_library(model, weights, rows, m):
     # row r of the engine consumes the r-th block of M uniforms of the stream
     lib_rng = stream_rng(3, 0, 0)
     mismatches = sum(
-        int(np.count_nonzero(got[r] != stratified_resample(weight_profile(g[r]), lib_rng)))
+        int(np.count_nonzero(got[r] != resample("stratified", weight_profile(g[r]), lib_rng)))
         for r in range(rows)
     )
     assert mismatches == 0

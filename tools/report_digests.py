@@ -1,0 +1,70 @@
+"""Print the sha256 of every byte-reproducible report, one line each.
+
+    python3 tools/report_digests.py > digests.txt
+
+Runs the six report experiments at a small scale (seed 5) through the
+command line entry point with ``--no-timing``, as CSV and as JSON, with
+``--workers 1`` and ``2`` where the experiment reads workers, and the four
+``beta-table`` grids at their default size.  A refactor that must not move
+a digit prints the same lines before and after; compare the two outputs
+with ``diff``.  The ``smclab`` package is imported from the ``src/`` next to
+this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from smclab.cli import main  # noqa: E402
+
+SEED = 5
+# only flags the experiment reads; at M = 2000 a batch holds 256 replicates,
+# so 600 replicates make three batches for the workers to share
+SMALL = ["--particles", "2000", "--replicates", "600"]
+REPORTS = {
+    "conjecture1": SMALL,
+    "conjecture2": SMALL + ["--step", "2", "--tuple-size", "2"],
+    "variance-step0": SMALL + ["--replicates2", "300"],
+    "variance-step1": SMALL + ["--replicates2", "300"],
+    "clt": SMALL + ["--replicates2", "300"],
+    "compare-resamplers": SMALL,
+}
+SERIAL_ONLY = ("compare-resamplers",)  # reads no worker count
+TABLES = ("beta0", "beta1", "phi0", "phik")
+
+
+def digest(argv: list[str]) -> str:
+    """sha256 of the file the command line writes for ``argv``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--out", out])
+        if code not in (0, 2):
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def commands():
+    for experiment, flags in REPORTS.items():
+        worker_counts = [None] if experiment in SERIAL_ONLY else ["1", "2"]
+        for workers in worker_counts:
+            for fmt in ("csv", "json"):
+                argv = [experiment, "--seed", str(SEED), *flags, "--format", fmt, "--no-timing"]
+                if workers is not None:
+                    argv += ["--workers", workers]
+                yield argv
+    for kind in TABLES:
+        yield ["beta-table", "--kind", kind]
+
+
+if __name__ == "__main__":
+    for argv in commands():
+        print(f"{digest(argv)}  {' '.join(argv)}", flush=True)
