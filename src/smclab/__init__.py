@@ -14,10 +14,8 @@ from .model import (
     KernelSpec,
     ModelConfig,
     PotentialSpec,
-    build_custom_model,
     build_model,
     section7_constants,
-    section7_model,
     section7_pf1,
     uniform_shift_kernel,
     weighted_reference_mean,

@@ -116,10 +116,13 @@ def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
 
 def transform_function(model, transform: str):
     """The function a task sums: the model's f (``'f'``), or the built-in
-    model's step-1 transform P f_1 (``'pf1'``)."""
+    model's step-1 transform P f_1 (``'pf1'``), which no other model has."""
     if transform == "f":
         return model.f
     if transform == "pf1":
+        if model.spec != "section7":
+            raise InvalidArgument("transform 'pf1' is the built-in section7 model's step-1 "
+                                  f"transform; this model's spec is {model.spec!r}")
         return section7_pf1
     raise InvalidArgument(f"unknown transform {transform!r} (expected 'f' or 'pf1')")
 

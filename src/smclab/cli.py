@@ -7,7 +7,8 @@
 
 Flags override config-file values.  Exit code 0 when the experiment verdict
 passes (or a beta-table grid was written), 2 when it fails, 1 on error,
-including a report or grid that cannot be written to ``--out``.
+including a malformed flag and a report or grid that cannot be written to
+``--out``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,14 @@ from .experiments import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, the code of a FAIL verdict
+        raise InvalidConfig(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="smclab",
-                                     description="Stratified-resampling experiments")
+    parser = _Parser(prog="smclab", description="Stratified-resampling experiments")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file (schema 1)")
     parser.add_argument("--seed", type=int)
@@ -53,15 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("experiment", "config", "no_timing") and v is not None
-    }
-    if args.no_timing:
-        overrides["timing"] = False
     try:
+        args = _build_parser().parse_args(argv)
+        overrides = {
+            k: v
+            for k, v in vars(args).items()
+            if k not in ("experiment", "config", "no_timing") and v is not None
+        }
+        if args.no_timing:
+            overrides["timing"] = False
         if args.config:
             cfg = load_config(args.config, **overrides)
             if cfg.experiment != args.experiment:

@@ -36,8 +36,8 @@ The Monte Carlo side of the limit variance lives here too, on the engine's
 streams: :func:`sigma2_sq`, whose report ``variance-step0`` and ``clt``
 print as it stands, and :func:`recursive_variance_step`.
 
-Model selection: ``"model": "section7"`` (built-in benchmark) or an inline
-custom-model table, see :func:`smclab.model.build_custom_model`.
+Model selection: ``"model": "section7"`` (the built-in row of the model
+table) or an inline model table, see :func:`smclab.model.build_model`.
 
 Config schema (version 1)::
 
@@ -49,8 +49,8 @@ Config schema (version 1)::
 Every experiment takes model, seed, out, format and timing; the other
 fields it reads are those of its row of ``_DESK_DEFAULTS`` (``step`` and
 ``tuple_size`` for conjecture2, ``table_kind`` and ``table_points`` for
-beta-table).  Unknown keys and keys the experiment does not read are
-rejected.  CSV columns are exactly
+beta-table).  Unknown keys are rejected, and so is a set field that the
+experiment does not read.  CSV columns are exactly
 ``experiment,quantity,estimate,ci_lo,ci_hi,n_samples,particles,seed,wall_time_s``.
 """
 
@@ -122,19 +122,22 @@ EXPERIMENTS = tuple(_DESK_DEFAULTS)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Per-experiment fields are unset (None) here; :func:`default_config`
+    fills those the experiment reads from its ``_DESK_DEFAULTS`` row."""
+
     experiment: str
     model: object = "section7"
-    particles: int = 2000
-    replicates: int = 100_000
-    replicates2: int = 10_000
-    step: int = 1
-    tuple_size: int = 1
+    particles: Optional[int] = None
+    replicates: Optional[int] = None
+    replicates2: Optional[int] = None
+    step: Optional[int] = None
+    tuple_size: Optional[int] = None
     seed: int = 0
-    workers: int = 1
+    workers: Optional[int] = None
     out: Optional[str] = None
     format: str = "csv"
     timing: bool = True
-    table_kind: str = "beta0"
+    table_kind: Optional[str] = None
     table_points: Optional[int] = None
 
 
@@ -171,17 +174,15 @@ class ExperimentReport:
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Desk-scale config for an experiment, with overrides applied.
 
-    An override of a field that the experiment does not read is an error.
+    :func:`validate_config` rejects an override of a field that the
+    experiment does not read.
     """
     if experiment not in EXPERIMENTS:
         raise InvalidConfig(f"unknown experiment {experiment!r} (choose from {EXPERIMENTS})")
-    base = dict(_DESK_DEFAULTS[experiment])
-    unread = set(overrides) - {*base, *_READ_BY_ALL}
-    if unread:
-        raise InvalidConfig(f"{experiment} does not read {sorted(unread)}; "
-                            f"it reads {[*base, *_READ_BY_ALL]}")
-    base.update(overrides)
-    return ExperimentConfig(experiment=experiment, **base)
+    unknown = set(overrides) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
+    return ExperimentConfig(experiment=experiment, **{**_DESK_DEFAULTS[experiment], **overrides})
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -195,9 +196,6 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise InvalidConfig("config must be a JSON object")
     if raw.get("schema") != 1:
         raise InvalidConfig(f"unsupported config schema {raw.get('schema')!r} (expected 1)")
-    unknown = set(raw) - {"schema", *(f.name for f in fields(ExperimentConfig))}
-    if unknown:
-        raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
     if "experiment" not in raw:
         raise InvalidConfig("config is missing the 'experiment' field")
     merged = {k: v for k, v in raw.items() if k not in ("schema", "experiment")}
@@ -222,16 +220,23 @@ _FIELD_TYPES = (
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Reject a bad config before any stream runs; a field that the
+    experiment does not read must be unset (None)."""
+    if cfg.experiment not in EXPERIMENTS:
+        raise InvalidConfig(f"unknown experiment {cfg.experiment!r}")
+    reads = [*_DESK_DEFAULTS[cfg.experiment], *_READ_BY_ALL]
+    unread = [f.name for f in fields(cfg)
+              if f.name not in (*reads, "experiment") and getattr(cfg, f.name) is not None]
+    if unread:
+        raise InvalidConfig(f"{cfg.experiment} does not read {unread}; it reads {reads}")
     for names, ok, expected in _FIELD_TYPES:
-        for name in names:
+        for name in (n for n in names if n in reads):
             value = getattr(cfg, name)
             if not ok(value):
                 raise InvalidConfig(f"{name} must be {expected}, got {value!r}")
-    if cfg.experiment not in EXPERIMENTS:
-        raise InvalidConfig(f"unknown experiment {cfg.experiment!r}")
     if cfg.format not in ("csv", "json"):
         raise InvalidConfig(f"unknown output format {cfg.format!r}")
-    if cfg.workers < 1:
+    if "workers" in reads and cfg.workers < 1:
         raise InvalidConfig("workers must be >= 1")
     if cfg.seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {cfg.seed}")
@@ -239,11 +244,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.format != "csv":
             raise InvalidConfig(f"beta-table writes CSV only, got format {cfg.format!r}")
         return
-    if cfg.table_points is not None:
-        raise InvalidConfig(f"table_points applies to beta-table only, not {cfg.experiment}")
     if cfg.replicates < 100:
         raise InvalidConfig("replicates must be >= 100")
-    if cfg.experiment in ("variance-step0", "variance-step1", "clt") and cfg.replicates2 < 2:
+    if "replicates2" in reads and cfg.replicates2 < 2:
         raise InvalidConfig(f"replicates2 must be >= 2, got {cfg.replicates2}")
     model = build_model(cfg.model)
     # equal weights are a valid frozen population for compare-resamplers, but
@@ -306,7 +309,8 @@ def sigma2_sq(model: ModelConfig, n_samples: int, seed: int = 0, workers: int = 
     Averages sum_{k=0}^{K} T(X_1) T(X_{k+1}) int_0^1 beta_window(k, u, gt) du
     over ``n_samples`` i.i.d. initial-law tuples drawn on stream 2 of
     ``seed``, with K = ceil(upper/lower) of the step-0 potential, gt = g / E g
-    and T the model's f (or P f_1 for ``transform='pf1'``).  ``per_k`` holds
+    and T the model's f (or, for the built-in model only, P f_1 with
+    ``transform='pf1'``).  ``per_k`` holds
     each window's mean, from the same draws as the total.  The engine
     rebuilds the model from ``model.spec``.
     """

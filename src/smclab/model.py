@@ -5,11 +5,13 @@ an initial law eta on the real line with a density, positive potential
 functions g_n with declared finite bounds on the reachable support at each
 step, uniform shift mutation kernels P_n, and a bounded test function f.
 
-The built-in ``section7`` model is the canonical benchmark used by the
-experiment harness: d = 1, eta = Uniform(0, 1), P(x, .) = Uniform[x, x + 1]
-and g_n(x) = f(x) = exp(x).  At step n its particles live in [0, n + 1], so
-the potential bounds there are [1, e^(n+1)].  All of its moment constants
-have closed forms (see :func:`section7_constants`).
+:func:`build_model` is the one constructor: it builds a model from a row of
+a small JSON-able table.  The built-in ``section7`` model, the canonical
+benchmark of the experiment harness, is the row :data:`SECTION7`: d = 1,
+eta = Uniform(0, 1), P(x, .) = Uniform[x, x + 1] and g_n(x) = f(x) = exp(x).
+At step n its particles live in [0, n + 1], so the potential bounds there
+are [1, e^(n+1)].  All of its moment constants have closed forms (see
+:func:`section7_constants`).
 """
 
 from __future__ import annotations
@@ -92,11 +94,13 @@ def uniform_shift_kernel(lo: float = 0.0, hi: float = 1.0) -> KernelSpec:
 class ModelConfig:
     """Full model: initial law, potentials, kernels and test function.
 
+    Built by :func:`build_model`.  ``spec`` is the model's identity: the
+    JSON-able reference (``"section7"`` or a table) from which the engine's
+    workers rebuild the model and by which closed forms are chosen.
     Immutable after construction; safe to share across threads.  Random
     state is never stored here, it is always passed in explicitly.
     """
 
-    name: str
     sample_positions: Callable[[tuple, np.random.Generator], np.ndarray]
     initial_density: Callable[[np.ndarray], np.ndarray]
     initial_support: tuple[float, float]
@@ -104,42 +108,12 @@ class ModelConfig:
     kernel: Callable[[int], KernelSpec]
     f: Callable[[np.ndarray], np.ndarray]
     f_bound: Callable[[int], float]
-    spec: object = "custom"  # JSON-able reference used to rebuild the model in workers
+    spec: object
 
 
 # ---------------------------------------------------------------------------
-# built-in benchmark model ("section7")
+# closed forms of the built-in benchmark model ("section7")
 # ---------------------------------------------------------------------------
-
-def section7_model() -> ModelConfig:
-    """d = 1, eta = Uniform(0,1), P(x,.) = Uniform[x, x+1], g_n = f = exp.
-
-    The declared potential bounds at step n are taken on the reachable
-    support [0, n + 1], i.e. [1, e^(n+1)]; this is what keeps the ratio
-    ceil(upper/lower) and hence every correlation window finite.
-    """
-
-    def sample_positions(shape, rng):
-        return rng.random(shape)
-
-    def potential(n: int) -> PotentialSpec:
-        return PotentialSpec(fn=np.exp, lower=1.0, upper=math.exp(n + 1), support=(0.0, n + 1.0))
-
-    def kernel(n: int) -> KernelSpec:
-        return uniform_shift_kernel(0.0, 1.0)
-
-    return ModelConfig(
-        name="section7",
-        sample_positions=sample_positions,
-        initial_density=lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0),
-        initial_support=(0.0, 1.0),
-        potential=potential,
-        kernel=kernel,
-        f=np.exp,
-        f_bound=lambda n: math.exp(n + 1),
-        spec="section7",
-    )
-
 
 def section7_constants(step: int) -> dict[str, float]:
     """Closed-form moment constants of the benchmark model.
@@ -240,10 +214,29 @@ def weighted_reference_mean(model: ModelConfig, step: int, h: Callable) -> float
 
 
 # ---------------------------------------------------------------------------
-# custom models from a JSON-able expression table
+# models from a JSON-able table
 # ---------------------------------------------------------------------------
 
-def _build_form(form: dict) -> tuple[Callable, Callable]:
+#: the built-in benchmark model, a row of the model table; its entries are
+#: also the defaults of every table that omits one
+SECTION7 = {
+    "name": "section7",
+    "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
+    "kernel": {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0},
+    "g": {"form": "exp"},
+    "f": {"form": "exp"},
+}
+
+
+def _check_keys(table, allowed, what: str) -> None:
+    if not isinstance(table, dict):
+        raise InvalidModel(f"{what} must be an object, got {table!r}")
+    unknown = set(table) - set(allowed)
+    if unknown:
+        raise InvalidModel(f"unknown {what} keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+
+
+def _build_form(form: dict, what: str) -> tuple[Callable, Callable]:
     """Compile one entry of the expression table.
 
     Returns (fn, bounds_on) where bounds_on(lo, hi) gives (min, max) of fn
@@ -252,13 +245,20 @@ def _build_form(form: dict) -> tuple[Callable, Callable]:
     ``{"form": "exp", "scale": a, "rate": b}``  -> a * exp(b * x)
     ``{"form": "poly", "coeffs": [c0, c1, ...]}`` -> c0 + c1 x + ...
     """
-    kind = form.get("form")
+    kind = form.get("form") if isinstance(form, dict) else None
     if kind == "exp":
+        _check_keys(form, ("form", "scale", "rate"), f"{what} exp form")
         a = float(form.get("scale", 1.0))
         b = float(form.get("rate", 1.0))
 
         def fn(x):
-            return a * np.exp(b * np.asarray(x, dtype=float))
+            # a * exp(b * x) bit for bit; a product by 1.0 is exact, so it is
+            # skipped, and the exp of the built-in row costs one pass
+            x = np.asarray(x, dtype=float)
+            out = np.exp(x if b == 1.0 else b * x)
+            if a != 1.0:
+                out *= a
+            return out
 
         def bounds_on(lo, hi):
             vals = sorted((a * math.exp(b * lo), a * math.exp(b * hi)))
@@ -266,6 +266,7 @@ def _build_form(form: dict) -> tuple[Callable, Callable]:
 
         return fn, bounds_on
     if kind == "poly":
+        _check_keys(form, ("form", "coeffs"), f"{what} poly form")
         coeffs = [float(c) for c in form.get("coeffs", [])]
         if not coeffs:
             raise InvalidModel("poly form needs at least one coefficient")
@@ -284,13 +285,14 @@ def _build_form(form: dict) -> tuple[Callable, Callable]:
             return min(vals), max(vals)
 
         return fn, bounds_on
-    raise InvalidModel(f"unknown expression form {kind!r} (expected 'exp' or 'poly')")
+    raise InvalidModel(f"unknown {what} expression form {kind!r} (expected 'exp' or 'poly')")
 
 
-def build_custom_model(spec: dict) -> ModelConfig:
-    """Build a d = 1 model from a JSON-able expression table.
+def build_model(ref) -> ModelConfig:
+    """Build a d = 1 model from its JSON-able reference.
 
-    Schema::
+    ``ref`` is ``"section7"``, which names the built-in row
+    :data:`SECTION7`, or a model table::
 
         {"name": "custom",
          "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
@@ -298,23 +300,38 @@ def build_custom_model(spec: dict) -> ModelConfig:
          "g": {"form": "exp", "scale": 1.0, "rate": 1.0},
          "f": {"form": "poly", "coeffs": [0.0, 1.0]}}
 
-    The potential must be strictly positive on every reachable support; the
+    An omitted entry is SECTION7's; ``name`` is free text and selects
+    nothing.  A key outside this schema, at any level, is an error.  The
+    potential must be strictly positive on every reachable support; the
     reachable support at step n is the initial interval shifted by n kernel
-    steps.
+    steps.  The model's ``spec`` is ``ref`` (a copy of a table), so only
+    ``"section7"`` gets the built-in's closed forms.
     """
-    init = spec.get("initial", {"law": "uniform", "lo": 0.0, "hi": 1.0})
+    if ref == "section7":
+        table = SECTION7
+    elif isinstance(ref, dict):
+        table = ref
+    else:
+        raise InvalidModel(f"unknown model reference {ref!r}")
+    _check_keys(table, SECTION7, "model table")
+    init = table.get("initial", SECTION7["initial"])
+    kern = table.get("kernel", SECTION7["kernel"])
+    _check_keys(init, SECTION7["initial"], "initial law")
+    _check_keys(kern, SECTION7["kernel"], "kernel")
     if init.get("law") != "uniform":
-        raise InvalidModel("only uniform initial laws are supported for custom models")
-    a, b = float(init.get("lo", 0.0)), float(init.get("hi", 1.0))
+        raise InvalidModel("only uniform initial laws are supported")
+    if kern.get("kind") != "uniform_shift":
+        raise InvalidModel("only uniform_shift kernels are supported")
+    try:
+        a, b = float(init.get("lo", 0.0)), float(init.get("hi", 1.0))
+        klo, khi = float(kern.get("lo", 0.0)), float(kern.get("hi", 1.0))
+        g_fn, g_bounds = _build_form(table.get("g", SECTION7["g"]), "g")
+        f_fn, f_bounds = _build_form(table.get("f", SECTION7["f"]), "f")
+    except (TypeError, ValueError) as exc:  # InvalidModel, or a value float() cannot read
+        raise InvalidModel(f"malformed model table: {exc}") from None
     if not b > a:
         raise InvalidModel("initial law needs hi > lo")
-    kern = spec.get("kernel", {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0})
-    if kern.get("kind") != "uniform_shift":
-        raise InvalidModel("only uniform_shift kernels are supported for custom models")
-    klo, khi = float(kern.get("lo", 0.0)), float(kern.get("hi", 1.0))
-
-    g_fn, g_bounds = _build_form(spec.get("g", {"form": "exp"}))
-    f_fn, f_bounds = _build_form(spec.get("f", {"form": "exp"}))
+    kernel_spec = uniform_shift_kernel(klo, khi)
 
     def support_at(n: int) -> tuple[float, float]:
         return (a + n * klo, b + n * khi)
@@ -326,35 +343,26 @@ def build_custom_model(spec: dict) -> ModelConfig:
             raise InvalidModel(f"potential is not strictly positive on step-{n} support [{lo}, {hi}]")
         return PotentialSpec(fn=g_fn, lower=gmin, upper=gmax, support=(lo, hi))
 
-    def kernel(n: int) -> KernelSpec:
-        return uniform_shift_kernel(klo, khi)
-
     def f_bound(n: int) -> float:
         lo, hi = support_at(n)
         fmin, fmax = f_bounds(lo, hi)
         return max(abs(fmin), abs(fmax))
 
     def sample_positions(shape, rng):
-        return a + (b - a) * rng.random(shape)
+        # a + (b - a) * u, bit for bit, in the draw's own array
+        u = rng.random(shape)
+        u *= b - a
+        u += a
+        return u
 
     density = 1.0 / (b - a)
     return ModelConfig(
-        name=spec.get("name", "custom"),
         sample_positions=sample_positions,
         initial_density=lambda x: np.where((x >= a) & (x <= b), density, 0.0),
         initial_support=(a, b),
         potential=potential,
-        kernel=kernel,
+        kernel=lambda n: kernel_spec,
         f=f_fn,
         f_bound=f_bound,
-        spec=dict(spec),
+        spec=ref if table is SECTION7 else dict(ref),
     )
-
-
-def build_model(ref) -> ModelConfig:
-    """Rebuild a model from its JSON-able reference ('section7' or a dict)."""
-    if ref == "section7":
-        return section7_model()
-    if isinstance(ref, dict):
-        return build_custom_model(ref)
-    raise InvalidModel(f"unknown model reference {ref!r}")

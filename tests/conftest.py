@@ -10,10 +10,10 @@ from smclab import (
     InvalidArgument,
     beta0,
     beta1,
+    build_model,
     correlation_window,
     mean_estimate,
     section7_constants,
-    section7_model,
     weight_profile,
 )
 from smclab._engine import window_kernel_terms
@@ -29,7 +29,7 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(scope="session")
 def model():
-    return section7_model()
+    return build_model("section7")
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from smclab import InvalidConfig
+from smclab import InvalidConfig, InvalidModel
 from smclab.experiments import (
+    ExperimentConfig,
     beta_table_text,
     default_config,
     load_config,
@@ -108,6 +109,24 @@ def test_validate_config_invariants():
     validate_config(default_config("compare-resamplers", model=FLAT_MODEL))
     validate_config(default_config("variance-step0", model=SLOPED_MODEL, particles=300,
                                    replicates=200, replicates2=200))
+    # a misspelled model-table key
+    with pytest.raises(InvalidModel, match="rat"):
+        validate_config(default_config("clt", model={"g": {"form": "exp", "rat": 3}}))
+
+
+def test_validate_config_rejects_unread_fields():
+    """A config built directly is held to the fields its experiment reads,
+    and only those are type-checked."""
+    with pytest.raises(InvalidConfig, match="does not read"):
+        validate_config(ExperimentConfig("conjecture1", particles=300, replicates=200,
+                                         replicates2=1, step=7))
+    with pytest.raises(InvalidConfig, match="does not read"):
+        validate_config(ExperimentConfig("compare-resamplers", particles=300,
+                                         replicates=200, workers=1))
+    validate_config(ExperimentConfig("compare-resamplers", particles=300, replicates=200))
+    validate_config(ExperimentConfig("beta-table", table_kind="phi0"))
+    with pytest.raises(InvalidConfig, match="particles must be an integer"):
+        validate_config(ExperimentConfig("compare-resamplers", replicates=200))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +317,15 @@ def test_cli_config_and_errors(tmp_path):
         typed.append((experiment, "--config", str(path)))
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"schema": 1, "experiment": "variance-step0", "model": FLAT_MODEL}))
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"schema": 1, "experiment": "clt",
+                                "model": {"g": {"form": "exp", "rat": 3}}}))
     bad_inputs = typed + [
+        ("clt", "--config", str(typo), "--particles", "300", "--replicates", "200"),
+        # malformed flags: argparse's own exit code 2 would read as a FAIL verdict
+        ("clt", "--format", "xml"),
+        ("clt", "--particles", "abc"),
+        ("bogus",),
         ("variance-step0", "--config", str(flat), "--particles", "300", "--replicates", "200"),
         ("clt", "--config", str(cfgfile)),
         ("variance-step0", "--seed", "-1", "--particles", "300", "--replicates", "200"),

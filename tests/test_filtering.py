@@ -5,7 +5,7 @@ import pytest
 
 from smclab import conditional_mean, run_filter, weight_profile
 from smclab._engine import Conjecture2Task, SelectedSumTask, stream_rng
-from smclab.model import build_custom_model, build_model
+from smclab.model import build_model
 from smclab.variance import _reference_g_mean
 
 from conftest import conjecture2_lhs, conjecture2_rhs
@@ -95,7 +95,7 @@ def test_conjecture2_sides_close_at_scale(model):
 
 
 def test_conjecture2_equal_weights_u_free_psi():
-    flat = build_custom_model({
+    flat = build_model({
         "name": "flat",
         "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
         "kernel": {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0},

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.integrate import quad
 from smclab import (
     InvalidArgument,
     InvalidModel,
-    build_custom_model,
+    build_model,
     run_filter,
     section7_constants,
     section7_pf1,
@@ -139,16 +141,73 @@ def test_custom_model_bounds_and_validation():
         "g": {"form": "poly", "coeffs": [1.0, 0.5]},
         "f": {"form": "poly", "coeffs": [0.0, 1.0]},
     }
-    m = build_custom_model(spec)
+    m = build_model(spec)
     p1 = m.potential(1)
     assert (p1.lower, p1.upper) == (1.0, 2.0)
     assert p1.support == (0.0, 2.0)
 
     bad = dict(spec, g={"form": "poly", "coeffs": [0.5, -1.0]})  # hits zero on the support
-    m_bad = build_custom_model(bad)
+    m_bad = build_model(bad)
     with pytest.raises(InvalidModel):
         m_bad.potential(0)
     with pytest.raises(InvalidModel):
-        build_custom_model(dict(spec, g={"form": "sine"}))
+        build_model(dict(spec, g={"form": "sine"}))
     with pytest.raises(InvalidModel):
-        build_custom_model(dict(spec, initial={"law": "normal"}))
+        build_model(dict(spec, initial={"law": "normal"}))
+    # the exp form is a * exp(b * x) bit for bit
+    x = np.linspace(-1.0, 3.0, 101)
+    sloped = build_model({"g": {"form": "exp", "scale": 0.5, "rate": 1.5}})
+    assert sloped.potential(0).fn(x).tobytes() == (0.5 * np.exp(1.5 * x)).tobytes()
+
+
+def test_section7_is_the_table_row_bit_for_bit():
+    """The built-in row gives exactly the hand-written model it replaced:
+    g_n = f = np.exp, bounds [1, e^(n+1)], positions = rng.random(shape)."""
+    model = build_model("section7")
+    assert model.spec == "section7"
+    x = np.random.default_rng(7).random((40, 500)) * 4.0
+    for fn in (model.potential(0).fn, model.potential(3).fn, model.f):
+        assert fn(x).tobytes() == np.exp(x).tobytes()
+        assert fn(x[0, 0]) == np.exp(x[0, 0])  # scalar and 0-d inputs keep working
+        assert fn(np.asarray(0.3)).shape == ()
+    for n in range(4):
+        pot = model.potential(n)
+        assert (pot.lower, pot.upper, pot.support) == (1.0, math.exp(n + 1), (0.0, n + 1.0))
+        assert model.f_bound(n) == math.exp(n + 1)
+        assert model.kernel(n + 1).shift_bounds == (0.0, 1.0)
+    for shape in ((3, 4), (7,), ()):
+        got = model.sample_positions(shape, np.random.default_rng(11))
+        assert np.asarray(got).tobytes() == np.random.default_rng(11).random(shape).tobytes()
+    assert model.initial_support == (0.0, 1.0)
+
+
+def test_model_tables_reject_unknown_keys():
+    """A misspelled key is an error at every level, not a silent default."""
+    for bad in (
+        {"g": {"form": "exp", "rat": 3.0}},
+        {"g": {"form": "poly", "coeffs": [1.0], "rate": 2.0}},
+        {"potential": {"form": "exp"}},
+        {"initial": {"law": "uniform", "low": 0.0}},
+        {"kernel": {"kind": "uniform_shift", "hi": 1.0, "width": 1.0}},
+        {"f": "exp"},
+        {"initial": {"law": "uniform", "lo": "zero"}},
+        {"g": {"form": "poly", "coeffs": 5}},
+    ):
+        with pytest.raises(InvalidModel):
+            build_model(bad)
+    with pytest.raises(InvalidModel):
+        build_model("section8")
+    # the README example and the benchmark's weight-ratio-1e3 table still build
+    readme = {"name": "custom",
+              "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
+              "kernel": {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0},
+              "g": {"form": "exp", "scale": 1.0, "rate": 1.0},
+              "f": {"form": "poly", "coeffs": [0.0, 1.0]}}
+    assert build_model(readme).spec == readme
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ratio = build_model(workloads.RATIO_1E3_MODEL).potential(0).ratio()
+    assert ratio == pytest.approx(math.exp(6.9), rel=1e-12)

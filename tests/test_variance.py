@@ -9,7 +9,7 @@ from smclab import (
     beta0,
     beta0_u_integral,
     beta1,
-    build_custom_model,
+    build_model,
     conditional_variance_exact,
     correlation_window,
     recursive_variance_step,
@@ -130,7 +130,7 @@ def test_sigma1_closed_form_and_reductions(model):
     val = sigma1_sq(model, f=lambda x: np.full_like(np.asarray(x, dtype=float), 2.5))
     assert val == pytest.approx(0.0, abs=1e-10)
     # flat potential: reduces to the plain variance of f
-    flat = build_custom_model({
+    flat = build_model({
         "name": "flat",
         "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
         "kernel": {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0},
@@ -141,8 +141,8 @@ def test_sigma1_closed_form_and_reductions(model):
 
 
 def test_sigma2_zero_function():
-    zero_f = build_custom_model({"name": "zero-f", "g": {"form": "exp"},
-                                 "f": {"form": "poly", "coeffs": [0.0]}})
+    zero_f = build_model({"name": "zero-f", "g": {"form": "exp"},
+                          "f": {"form": "poly", "coeffs": [0.0]}})
     rep = sigma2_sq(zero_f, 500, seed=3)
     assert rep.sigma2_sq.point == 0.0
     assert rep.sigma2_sq.half_width == 0.0
@@ -277,7 +277,7 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
     """Every term equals the unmasked, every-k evaluation bit for bit (up to
     the sign of zero), and the pair kernel is never evaluated past the last
     live window size."""
-    sloped = build_custom_model(SLOPED)
+    sloped = build_model(SLOPED)
     step1 = _engine.WindowPhiSumTask("section7", 300, step=1)
     x1, _ = step1._advance(6, 1, _engine.stream_rng(1, 3, 0))
     fv_s, gt_s, k_s = _window_inputs(sloped, np.random.default_rng(3).random((12, 9)), 0)
@@ -305,7 +305,7 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
 def test_per_k_is_batch_invariant(monkeypatch, pair_calls):
     """sigma2_sq keeps one window mean per k = 0..K when batches stop at
     different window sizes, and its total is the mean of the per-k sums."""
-    sloped = build_custom_model(SLOPED)
+    sloped = build_model(SLOPED)
     k_max = correlation_window(0, sloped.potential(0).ratio())
     monkeypatch.setattr(_engine, "BATCH_TARGET", 4)  # 4 tuples per batch
     n, seed = 40, 7
@@ -339,6 +339,16 @@ def test_recursive_variance_step(model):
     assert abs(v2 - direct.point) < 4 * direct.half_width + 0.05
     with pytest.raises(InvalidArgument):
         recursive_variance_step(1.0, model, step=0)
-    custom = build_custom_model({"name": "c", "g": {"form": "exp"}, "f": {"form": "exp"}})
+    custom = build_model({"name": "c", "g": {"form": "exp"}, "f": {"form": "exp"}})
     with pytest.raises(NotImplementedError):
         recursive_variance_step(1.0, custom, step=1)
+
+
+def test_pf1_transform_needs_the_builtin_model():
+    """P f_1 is section7's closed form; no other model may borrow it, not
+    even a table equal to section7's row."""
+    for table in (SLOPED, {"g": {"form": "exp"}, "f": {"form": "exp"}}):
+        with pytest.raises(InvalidArgument, match="pf1"):
+            sigma2_sq(build_model(table), 200, seed=1, transform="pf1")
+        with pytest.raises(InvalidArgument, match="pf1"):
+            _engine.SelectedSumTask(table, 300, transform="pf1")(2, _engine.stream_rng(1, 2, 0))

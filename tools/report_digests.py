@@ -5,7 +5,9 @@
 Runs the six report experiments at a small scale (seed 5) through the
 command line entry point with ``--no-timing``, as CSV and as JSON, with
 ``--workers 1`` and ``2`` where the experiment reads workers, and the four
-``beta-table`` grids at their default size.  A refactor that must not move
+``beta-table`` grids at their default size.  ``variance-step0``, ``clt``
+and ``compare-resamplers`` run a second time on a sloped model table, given
+through ``--config`` (printed as ``--config <sloped>``).  A refactor that must not move
 a digit prints the same lines before and after; compare the two outputs
 with ``diff``.  The ``smclab`` package is imported from the ``src/`` next to
 this script.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -38,12 +41,26 @@ REPORTS = {
 }
 SERIAL_ONLY = ("compare-resamplers",)  # reads no worker count
 TABLES = ("beta0", "beta1", "phi0", "phik")
+# a model table off every default: shifted initial law and kernel, scaled
+# and sloped exp potential, quadratic test function
+SLOPED = {"name": "sloped",
+          "initial": {"law": "uniform", "lo": 0.0, "hi": 1.5},
+          "kernel": {"kind": "uniform_shift", "lo": -0.25, "hi": 0.75},
+          "g": {"form": "exp", "scale": 0.5, "rate": 1.5},
+          "f": {"form": "poly", "coeffs": [0.2, 1.0, -0.3]}}
+ON_SLOPED = ("variance-step0", "clt", "compare-resamplers")
 
 
-def digest(argv: list[str]) -> str:
-    """sha256 of the file the command line writes for ``argv``."""
+def digest(argv: list[str], model=None) -> str:
+    """sha256 of the file the command line writes for ``argv``, with a
+    config file naming ``model`` when one is given."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
+        if model is not None:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump({"schema": 1, "experiment": argv[0], "model": model}, fh)
+            argv = [*argv, "--config", config]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--out", out])
         if code not in (0, 2):
@@ -53,18 +70,23 @@ def digest(argv: list[str]) -> str:
 
 
 def commands():
-    for experiment, flags in REPORTS.items():
+    """Yield (argv, model table or None)."""
+    runs = [(experiment, None) for experiment in REPORTS]
+    runs += [(experiment, SLOPED) for experiment in ON_SLOPED]
+    for experiment, model in runs:
         worker_counts = [None] if experiment in SERIAL_ONLY else ["1", "2"]
         for workers in worker_counts:
             for fmt in ("csv", "json"):
-                argv = [experiment, "--seed", str(SEED), *flags, "--format", fmt, "--no-timing"]
+                argv = [experiment, "--seed", str(SEED), *REPORTS[experiment],
+                        "--format", fmt, "--no-timing"]
                 if workers is not None:
                     argv += ["--workers", workers]
-                yield argv
+                yield argv, model
     for kind in TABLES:
-        yield ["beta-table", "--kind", kind]
+        yield ["beta-table", "--kind", kind], None
 
 
 if __name__ == "__main__":
-    for argv in commands():
-        print(f"{digest(argv)}  {' '.join(argv)}", flush=True)
+    for argv, model in commands():
+        label = " ".join(argv) + ("" if model is None else " --config <sloped>")
+        print(f"{digest(argv, model)}  {label}", flush=True)
