@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .model import build_model, section7_pf1
-from .resampling import ancestors
+from .resampling import ancestors, live_windows
 from .variance import (
     beta0_u_integral,
     beta_pair_u_integral,
@@ -87,31 +87,16 @@ def populations(model, shape, steps: int, rng: np.random.Generator):
 
 def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
     """Yield f_i f_{i+k} int_0^1 beta_window(k, u, gt_i..gt_{i+k}) du over
-    every window start i, for k = 0..k_max: one (rows, n - k) term at a time,
-    so that no more than one term of the whole population is alive at once.
-
-    Exactly one term is yielded per k, whatever the batch: callers index the
-    terms by k, and ``PhiTupleTask``'s batches must agree on their number of
-    outputs.  A window is live while its middle mass gt_{i+1} + ... +
-    gt_{i+k-1} is below 1; the kernel vanishes once it reaches 1.  The middle
-    mass is a difference of one row's running sums, so for a fixed start i it
-    is non-decreasing in k, also in floating point.  Hence, once no window of
-    a term is live, no window of any later term is either: from that k on the
-    kernel is not evaluated and the term is +0.0 everywhere, which equals
-    what the kernel would give.
+    every window start i, for k = 0 and each live k <= k_max of
+    ``live_windows``: one (rows, n - k) term at a time, so that no more than
+    one term of the whole population is alive at once.  The walk stops at
+    the first k with no live window, whose term and every later one would be
+    0 everywhere; how many terms a batch yields depends on its draws.
     """
-    rows, n = gt.shape
-    cum = np.cumsum(gt, axis=1)
+    n = gt.shape[1]
     yield fv**2 * beta0_u_integral(gt)
-    live = True
-    for k in range(1, k_max + 1):
-        if live:
-            mid = cum[:, k - 1:n - 1] - cum[:, :n - k]
-            live = bool((mid < 1.0).any())
-        if live:
-            yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
-        else:
-            yield np.zeros((rows, n - k))
+    for k, mid in live_windows(np.cumsum(gt, axis=1), k_max):
+        yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
 
 
 def transform_function(model, transform: str):
@@ -189,9 +174,9 @@ class WeightedRatioTask(_TaskBase):
 
 @dataclass(frozen=True)
 class PhiTupleTask(_TaskBase):
-    """T(X_1) T(X_{k+1}) * closed-form window integral over i.i.d. initial-law
-    tuples, one output per window k = 0..K; summed over k, one sample of the
-    step-0 selection-noise variance of T (``transform`` as in SelectedSumTask)."""
+    """sum_k T(X_1) T(X_{k+1}) * closed-form window integral over i.i.d.
+    initial-law tuples, k = 0..K: one sample of the step-0 selection-noise
+    variance of T (``transform`` as in SelectedSumTask)."""
 
     model_ref: object
     particles: int = 0  # unused; tuples, not particle systems
@@ -204,7 +189,7 @@ class PhiTupleTask(_TaskBase):
         x = model.sample_positions((rows, k_max + 1), rng)
         gt = pot.fn(x) / _reference_g_mean(model, 0)
         fv = np.asarray(transform_function(model, self.transform)(x), dtype=float)
-        return tuple(term[:, 0] for term in window_kernel_terms(fv, gt, k_max))
+        return (sum(term[:, 0] for term in window_kernel_terms(fv, gt, k_max)),)
 
 
 @dataclass(frozen=True)

@@ -291,11 +291,10 @@ def _shift(est: EstimateWithCI, offset: float, scale: float = 1.0) -> EstimateWi
 @dataclass(frozen=True)
 class VarianceReport:
     """Asymptotic variance split: deterministic first component, Monte Carlo
-    second component with its per-window-size breakdown."""
+    second component."""
 
     sigma1_sq: float
     sigma2_sq: EstimateWithCI
-    per_k: tuple[EstimateWithCI, ...]
 
     @property
     def total(self) -> float:
@@ -310,17 +309,14 @@ def sigma2_sq(model: ModelConfig, n_samples: int, seed: int = 0, workers: int = 
     over ``n_samples`` i.i.d. initial-law tuples drawn on stream 2 of
     ``seed``, with K = ceil(upper/lower) of the step-0 potential, gt = g / E g
     and T the model's f (or, for the built-in model only, P f_1 with
-    ``transform='pf1'``).  ``per_k`` holds
-    each window's mean, from the same draws as the total.  The engine
-    rebuilds the model from ``model.spec``.
+    ``transform='pf1'``).  The engine rebuilds the model from ``model.spec``.
     """
     if n_samples < 1:
         raise InvalidArgument("n_samples must be >= 1")
     f = transform_function(model, transform)
-    per_k = run_stream(PhiTupleTask(model.spec, transform=transform), n_samples, seed,
-                       stream=2, workers=workers)
-    return VarianceReport(sigma1_sq=sigma1_sq(model, f), sigma2_sq=mean_estimate(sum(per_k)),
-                          per_k=tuple(mean_estimate(z) for z in per_k))
+    (samples,) = run_stream(PhiTupleTask(model.spec, transform=transform), n_samples, seed,
+                            stream=2, workers=workers)
+    return VarianceReport(sigma1_sq=sigma1_sq(model, f), sigma2_sq=mean_estimate(samples))
 
 
 def recursive_variance_step(v_prev: float, model: ModelConfig, step: int,

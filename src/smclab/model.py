@@ -17,6 +17,7 @@ are [1, e^(n+1)].  All of its moment constants have closed forms (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -236,11 +237,25 @@ def _check_keys(table, allowed, what: str) -> None:
         raise InvalidModel(f"unknown {what} keys {sorted(unknown)} (allowed: {sorted(allowed)})")
 
 
+def _number(value, what: str) -> float:
+    """A numeric table entry as a float; a bool, a non-number or a
+    non-finite value is an error."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the largest double
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidModel(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 def _build_form(form: dict, what: str) -> tuple[Callable, Callable]:
     """Compile one entry of the expression table.
 
     Returns (fn, bounds_on) where bounds_on(lo, hi) gives (min, max) of fn
-    over the interval [lo, hi].  Supported forms:
+    over the interval [lo, hi], and is an error where either is not finite
+    in double precision.  Supported forms:
 
     ``{"form": "exp", "scale": a, "rate": b}``  -> a * exp(b * x)
     ``{"form": "poly", "coeffs": [c0, c1, ...]}`` -> c0 + c1 x + ...
@@ -248,8 +263,8 @@ def _build_form(form: dict, what: str) -> tuple[Callable, Callable]:
     kind = form.get("form") if isinstance(form, dict) else None
     if kind == "exp":
         _check_keys(form, ("form", "scale", "rate"), f"{what} exp form")
-        a = float(form.get("scale", 1.0))
-        b = float(form.get("rate", 1.0))
+        a = _number(form.get("scale", 1.0), f"{what} scale")
+        b = _number(form.get("rate", 1.0), f"{what} rate")
 
         def fn(x):
             # a * exp(b * x) bit for bit; a product by 1.0 is exact, so it is
@@ -260,22 +275,21 @@ def _build_form(form: dict, what: str) -> tuple[Callable, Callable]:
                 out *= a
             return out
 
-        def bounds_on(lo, hi):
+        def extremes(lo, hi):
             vals = sorted((a * math.exp(b * lo), a * math.exp(b * hi)))
             return vals[0], vals[1]
-
-        return fn, bounds_on
-    if kind == "poly":
+    elif kind == "poly":
         _check_keys(form, ("form", "coeffs"), f"{what} poly form")
-        coeffs = [float(c) for c in form.get("coeffs", [])]
-        if not coeffs:
-            raise InvalidModel("poly form needs at least one coefficient")
+        coeffs = form.get("coeffs", [])
+        if not isinstance(coeffs, (list, tuple)) or not coeffs:
+            raise InvalidModel(f"{what} poly form needs a non-empty list of coefficients, got {coeffs!r}")
+        coeffs = [_number(c, f"{what} poly coefficient") for c in coeffs]
         poly = np.polynomial.Polynomial(coeffs)
 
         def fn(x):
             return poly(np.asarray(x, dtype=float))
 
-        def bounds_on(lo, hi):
+        def extremes(lo, hi):
             crit = [lo, hi]
             if len(coeffs) > 1:
                 for r in poly.deriv().roots():
@@ -283,9 +297,19 @@ def _build_form(form: dict, what: str) -> tuple[Callable, Callable]:
                         crit.append(float(r.real))
             vals = [float(poly(c)) for c in crit]
             return min(vals), max(vals)
+    else:
+        raise InvalidModel(f"unknown {what} expression form {kind!r} (expected 'exp' or 'poly')")
 
-        return fn, bounds_on
-    raise InvalidModel(f"unknown {what} expression form {kind!r} (expected 'exp' or 'poly')")
+    def bounds_on(lo, hi):
+        try:
+            vmin, vmax = extremes(lo, hi)
+        except OverflowError:  # math.exp past the largest double
+            vmin = vmax = math.inf
+        if not (math.isfinite(vmin) and math.isfinite(vmax)):
+            raise InvalidModel(f"{what} overflows double precision on [{lo}, {hi}]")
+        return vmin, vmax
+
+    return fn, bounds_on
 
 
 def build_model(ref) -> ModelConfig:
@@ -301,7 +325,8 @@ def build_model(ref) -> ModelConfig:
          "f": {"form": "poly", "coeffs": [0.0, 1.0]}}
 
     An omitted entry is SECTION7's; ``name`` is free text and selects
-    nothing.  A key outside this schema, at any level, is an error.  The
+    nothing.  A key outside this schema, at any level, is an error, and so is
+    a numeric entry that is a bool, not a number, or not finite.  The
     potential must be strictly positive on every reachable support; the
     reachable support at step n is the initial interval shifted by n kernel
     steps.  The model's ``spec`` is ``ref`` (a copy of a table), so only
@@ -322,13 +347,10 @@ def build_model(ref) -> ModelConfig:
         raise InvalidModel("only uniform initial laws are supported")
     if kern.get("kind") != "uniform_shift":
         raise InvalidModel("only uniform_shift kernels are supported")
-    try:
-        a, b = float(init.get("lo", 0.0)), float(init.get("hi", 1.0))
-        klo, khi = float(kern.get("lo", 0.0)), float(kern.get("hi", 1.0))
-        g_fn, g_bounds = _build_form(table.get("g", SECTION7["g"]), "g")
-        f_fn, f_bounds = _build_form(table.get("f", SECTION7["f"]), "f")
-    except (TypeError, ValueError) as exc:  # InvalidModel, or a value float() cannot read
-        raise InvalidModel(f"malformed model table: {exc}") from None
+    a, b = _number(init.get("lo", 0.0), "initial lo"), _number(init.get("hi", 1.0), "initial hi")
+    klo, khi = _number(kern.get("lo", 0.0), "kernel lo"), _number(kern.get("hi", 1.0), "kernel hi")
+    g_fn, g_bounds = _build_form(table.get("g", SECTION7["g"]), "g")
+    f_fn, f_bounds = _build_form(table.get("f", SECTION7["f"]), "f")
     if not b > a:
         raise InvalidModel("initial law needs hi > lo")
     kernel_spec = uniform_shift_kernel(klo, khi)

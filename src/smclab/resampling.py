@@ -212,6 +212,24 @@ def conditional_mean(profile: WeightProfile, f_values) -> float:
     return float(np.dot(profile.w, f) / profile.size)
 
 
+def live_windows(cum, k_max: int):
+    """Yield (k, mid) for k = 1..k_max while some window of size k is live.
+
+    ``cum`` holds running sums S_i of weights along its last axis; ``mid`` is
+    the middle mass w_{i+1} + ... + w_{i+k-1} = S_{i+k-1} - S_i of every
+    window start i.  The beta kernels vanish once the middle mass reaches 1.
+    For a fixed start the middle mass is non-decreasing in k, also in
+    floating point, so once no window of size k is live (mid < 1), no larger
+    window is either, and the walk returns.
+    """
+    n = cum.shape[-1]
+    for k in range(1, k_max + 1):
+        mid = cum[..., k - 1:n - 1] - cum[..., :n - k]
+        if not (mid < 1.0).any():
+            return
+        yield k, mid
+
+
 def conditional_variance_exact(profile: WeightProfile, f_values) -> float:
     """Conditional variance of M^{-1/2} sum_m f(Y_m) for stratified selection.
 
@@ -221,8 +239,8 @@ def conditional_variance_exact(profile: WeightProfile, f_values) -> float:
       - (1/M) sum_{k>=1} sum_i f_i f_{i+k}
                  beta1(u_{i-1}, w_i, w_{i+1}+...+w_{i+k-1}, w_{i+k})
 
-    The k-sum stops as soon as every middle window w_{i+1}+...+w_{i+k-1}
-    reaches 1, because beta1 vanishes there; this bounds k by
+    The k-sum walks the windows of :func:`live_windows`, which stops once
+    every middle mass reaches 1, where beta1 vanishes; this bounds k by
     ceil(max weight ratio) and by M - 1.
     """
     f = np.asarray(f_values, dtype=float)
@@ -231,10 +249,7 @@ def conditional_variance_exact(profile: WeightProfile, f_values) -> float:
         raise InvalidArgument("f_values length must match the profile size")
     w, cum, u = profile.w, profile.cum, profile.u
     total = float(np.sum(f**2 * beta0(u[:m], w)))
-    for k in range(1, m):
-        mid = cum[k - 1:m - 1] - cum[0:m - k]  # w_{i+1} + ... + w_{i+k-1}
-        if np.all(mid >= 1.0):
-            break
+    for k, mid in live_windows(cum, m - 1):
         b1 = beta1(u[0:m - k], w[0:m - k], mid, w[k:])
         total -= float(np.sum(f[0:m - k] * f[k:] * b1))
     return total / m

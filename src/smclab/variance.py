@@ -20,7 +20,9 @@ closed forms (:func:`beta0_u_integral` for one stratum,
 :func:`beta_pair_u_integral` for a pair of strata k apart).  The engine's
 ``window_kernel_terms`` is the one evaluator that applies them along
 windows; the tests check it against an independent numeric integration of
-the kernels.
+the kernels.  It walks the windows with ``resampling.live_windows``, as the
+exact conditional variance does with beta1, so the limit and the exact
+variance stop at the same test: no window's middle mass below 1.
 
 Everything here is deterministic.  Closed forms are chosen by the built-in
 model's reference (``model.spec``), never by its free-text name.

@@ -109,10 +109,12 @@ def beta_window(k, u, y):
 
 def window_integral_closed(k, f, y):
     """f_0 f_k int_0^1 beta_window(k, u, y) du from the engine's one
-    closed-form evaluator, ``window_kernel_terms``, on a single window."""
+    closed-form evaluator, ``window_kernel_terms``, on a single window; 0.0
+    for a k past the last live window, where the evaluator stops."""
     f = np.asarray(f, dtype=float)[None, :]
     y = np.asarray(y, dtype=float)[None, :]
-    return float(list(window_kernel_terms(f, y, k))[k][0, 0])
+    terms = list(window_kernel_terms(f, y, k))
+    return float(terms[k][0, 0]) if k < len(terms) else 0.0
 
 
 def cube_gap_unmasked(t):
@@ -124,7 +126,8 @@ def cube_gap_unmasked(t):
 def window_kernel_terms_dense(fv, gt, k_max):
     """Every window term k = 0..k_max with the kernel evaluated on every
     entry of every term, unmasked and without an early stop: the reference
-    that ``window_kernel_terms`` must equal term for term."""
+    that ``window_kernel_terms`` must equal on the terms it yields, and that
+    is 0 on every term past them."""
     n = gt.shape[1]
     cum = np.cumsum(gt, axis=1)
     terms = [fv**2 * ((1.0 - cube_gap_unmasked(gt)) / 3.0)]

@@ -320,8 +320,13 @@ def test_cli_config_and_errors(tmp_path):
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps({"schema": 1, "experiment": "clt",
                                 "model": {"g": {"form": "exp", "rat": 3}}}))
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps({"schema": 1, "experiment": "clt",
+                                 "model": {"g": {"form": "exp", "rate": 800}}}))
     bad_inputs = typed + [
         ("clt", "--config", str(typo), "--particles", "300", "--replicates", "200"),
+        # exp(800) overflows the potential's bounds
+        ("clt", "--config", str(steep)),
         # malformed flags: argparse's own exit code 2 would read as a FAIL verdict
         ("clt", "--format", "xml"),
         ("clt", "--particles", "abc"),

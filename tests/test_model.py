@@ -154,10 +154,33 @@ def test_custom_model_bounds_and_validation():
         build_model(dict(spec, g={"form": "sine"}))
     with pytest.raises(InvalidModel):
         build_model(dict(spec, initial={"law": "normal"}))
+    # bounds past the largest double are an error, not an OverflowError
+    steep = build_model(dict(spec, g={"form": "exp", "rate": 800.0}, f={"form": "exp", "rate": 800.0}))
+    with pytest.raises(InvalidModel, match="overflows"):
+        steep.potential(0)
+    with pytest.raises(InvalidModel, match="overflows"):
+        steep.f_bound(0)
     # the exp form is a * exp(b * x) bit for bit
     x = np.linspace(-1.0, 3.0, 101)
     sloped = build_model({"g": {"form": "exp", "scale": 0.5, "rate": 1.5}})
     assert sloped.potential(0).fn(x).tobytes() == (0.5 * np.exp(1.5 * x)).tobytes()
+
+
+@pytest.mark.parametrize("table", [
+    {"initial": {"law": "uniform", "lo": True}},
+    {"initial": {"law": "uniform", "hi": math.inf}},
+    {"initial": {"law": "uniform", "hi": 10**400}},  # a JSON integer past the largest double
+    {"kernel": {"kind": "uniform_shift", "lo": math.nan}},
+    {"kernel": {"kind": "uniform_shift", "hi": False}},
+    {"g": {"form": "exp", "scale": math.nan}},
+    {"g": {"form": "exp", "rate": True}},
+    {"f": {"form": "exp", "rate": -math.inf}},
+    {"f": {"form": "poly", "coeffs": [0.0, math.nan]}},
+    {"g": {"form": "poly", "coeffs": [True]}},
+])
+def test_model_tables_reject_bools_and_non_finite_numbers(table):
+    with pytest.raises(InvalidModel, match="finite number"):
+        build_model(table)
 
 
 def test_section7_is_the_table_row_bit_for_bit():

@@ -345,6 +345,18 @@ def test_exact_equals_oracle_random(rng):
     assert worst < 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(1, 40).flatmap(potentials), seed=st.integers(0, 2**32 - 1))
+def test_exact_equals_oracle_at_the_window_stops(g, seed):
+    """exact = oracle wherever the window walk stops: no window at all
+    (M = 1), a stop at k = 2 (equal weights), a long walk (one dominant
+    weight) and a tail snapped to M."""
+    prof = weight_profile(g)
+    fv = np.random.default_rng(seed).uniform(-2.0, 2.0, prof.size)
+    assert conditional_variance_exact(prof, fv) == pytest.approx(
+        conditional_variance_oracle(selection_coefficients(prof), fv), abs=1e-12)
+
+
 def test_conditional_variance_against_monte_carlo(rng):
     m = 40
     prof = weight_profile(rng.uniform(1.0, E, m))

@@ -151,9 +151,11 @@ def test_sigma2_zero_function():
 def test_sigma2_value_and_method_agreement(model):
     closed = sigma2_sq(model, 150_000, seed=11)
     direct = sigma2_beta_mc(model, 150_000, np.random.default_rng(12))
-    assert len(closed.per_k) == 4
-    # window 3 vanishes: its middle mass gt_1 + gt_2 >= 2/(e-1) > 1
-    assert closed.per_k[3].point == 0.0 and closed.per_k[3].half_width == 0.0
+    # step-0 tuples yield at most 3 window terms: window 3 vanishes, since
+    # its middle mass gt_1 + gt_2 >= 2/(e-1) > 1
+    tuples = model.sample_positions((10_000, 4), np.random.default_rng(13))
+    fv, gt, k_max = _window_inputs(model, tuples, 0)
+    assert k_max == 3 and len(list(_engine.window_kernel_terms(fv, gt, k_max))) <= 3
     assert closed.total == pytest.approx(closed.sigma1_sq + closed.sigma2_sq.point, rel=1e-12)
     # reference value of the selection-noise component
     assert closed.sigma2_sq.point == pytest.approx(0.0793412, abs=6 * closed.sigma2_sq.half_width)
@@ -194,8 +196,10 @@ def test_window_kernel_terms_against_numeric(rng):
     fv = np.exp(xs)
     gt = np.exp(xs) / (E - 1.0)
     terms = list(window_kernel_terms(fv, gt, 3))
-    assert [t.shape for t in terms] == [(2, 6), (2, 5), (2, 4), (2, 3)]
-    for k, term in enumerate(terms):
+    # window 3 is dead (gt_1 + gt_2 >= 2/(e-1) > 1), so the walk stops before it
+    assert [t.shape for t in terms] == [(2, 6), (2, 5), (2, 4)]
+    for k in range(4):
+        term = terms[k] if k < len(terms) else np.zeros((2, 6 - k))
         for r in range(2):
             for i in range(6 - k):
                 expected = fv[r, i] * fv[r, i + k] * beta_window_u_integral_numeric(k, gt[r, i:i + k + 1])
@@ -274,9 +278,9 @@ def _window_inputs(model, x, step):
 
 
 def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
-    """Every term equals the unmasked, every-k evaluation bit for bit (up to
-    the sign of zero), and the pair kernel is never evaluated past the last
-    live window size."""
+    """The yielded terms equal the unmasked, every-k evaluation bit for bit
+    (up to the sign of zero), every dense term past them is 0, and the pair
+    kernel is never evaluated past the last live window size."""
     sloped = build_model(SLOPED)
     step1 = _engine.WindowPhiSumTask("section7", 300, step=1)
     x1, _ = step1._advance(6, 1, _engine.stream_rng(1, 3, 0))
@@ -294,34 +298,31 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
         pair_calls.clear()
         terms = list(_engine.window_kernel_terms(fv, gt, k_max))
         dense = window_kernel_terms_dense(fv, gt, k_max)
-        assert len(terms) == k_max + 1, name
+        assert len(terms) == last.max() + 1, name
         for k, (term, ref) in enumerate(zip(terms, dense)):
             assert np.array_equal(term, ref) and _same_bits(term, ref), (name, k)
+        assert all(np.all(ref == 0.0) for ref in dense[len(terms):]), name
         n = gt.shape[1]
         assert pair_calls == [n - k for k in range(1, last.max() + 1)], name
         assert last.max() < k_max, name  # the stop is exercised
 
 
-def test_per_k_is_batch_invariant(monkeypatch, pair_calls):
-    """sigma2_sq keeps one window mean per k = 0..K when batches stop at
-    different window sizes, and its total is the mean of the per-k sums."""
+def test_sigma2_sq_is_batch_invariant(monkeypatch, pair_calls):
+    """Batches stop at different window sizes, each returns its one summed
+    output, and sigma2_sq is the mean of the stream's output."""
     sloped = build_model(SLOPED)
-    k_max = correlation_window(0, sloped.potential(0).ratio())
     monkeypatch.setattr(_engine, "BATCH_TARGET", 4)  # 4 tuples per batch
     n, seed = 40, 7
     task = _engine.PhiTupleTask(sloped.spec)
     stops = set()
     for b in range(n // 4):
         pair_calls.clear()
-        assert len(task(4, _engine.stream_rng(seed, 2, b))) == k_max + 1
+        assert len(task(4, _engine.stream_rng(seed, 2, b))) == 1
         stops.add(len(pair_calls))
     assert len(stops) > 1, stops
     rep = sigma2_sq(sloped, n, seed=seed)
-    samples = _engine.run_stream(task, n, seed, stream=2)
-    assert len(rep.per_k) == len(samples) == k_max + 1
-    assert rep.sigma2_sq == mean_estimate(sum(samples))
-    assert rep.per_k == tuple(mean_estimate(z) for z in samples)
-    assert rep.sigma2_sq.point == pytest.approx(sum(e.point for e in rep.per_k), rel=1e-12)
+    (samples,) = _engine.run_stream(task, n, seed, stream=2)
+    assert rep.sigma2_sq == mean_estimate(samples)
 
 
 def test_recursive_variance_step(model):

@@ -6,10 +6,11 @@ Runs the six report experiments at a small scale (seed 5) through the
 command line entry point with ``--no-timing``, as CSV and as JSON, with
 ``--workers 1`` and ``2`` where the experiment reads workers, and the four
 ``beta-table`` grids at their default size.  ``variance-step0``, ``clt``
-and ``compare-resamplers`` run a second time on a sloped model table, given
-through ``--config`` (printed as ``--config <sloped>``).  A refactor that must not move
-a digit prints the same lines before and after; compare the two outputs
-with ``diff``.  The ``smclab`` package is imported from the ``src/`` next to
+and ``compare-resamplers`` run again on two model tables, given through
+``--config`` (printed as ``--config <name>``): a sloped table off every
+default, and a ratio-30 table whose step-0 windows reach k = 30.  A refactor
+that must not move a digit prints the same lines before and after; compare
+the two outputs with ``diff``.  The ``smclab`` package is imported from the ``src/`` next to
 this script.
 """
 
@@ -48,7 +49,12 @@ SLOPED = {"name": "sloped",
           "kernel": {"kind": "uniform_shift", "lo": -0.25, "hi": 0.75},
           "g": {"form": "exp", "scale": 0.5, "rate": 1.5},
           "f": {"form": "poly", "coeffs": [0.2, 1.0, -0.3]}}
-ON_SLOPED = ("variance-step0", "clt", "compare-resamplers")
+# potential ratio e^3.4 ~ 30 on [0, 1]: 31 step-0 windows, against at most
+# about 10 on the other tables
+RATIO30 = {"name": "ratio30",
+           "g": {"form": "exp", "rate": 3.4},
+           "f": {"form": "poly", "coeffs": [0.2, 1.0, -0.3]}}
+ON_TABLES = ("variance-step0", "clt", "compare-resamplers")
 
 
 def digest(argv: list[str], model=None) -> str:
@@ -72,7 +78,7 @@ def digest(argv: list[str], model=None) -> str:
 def commands():
     """Yield (argv, model table or None)."""
     runs = [(experiment, None) for experiment in REPORTS]
-    runs += [(experiment, SLOPED) for experiment in ON_SLOPED]
+    runs += [(experiment, table) for table in (SLOPED, RATIO30) for experiment in ON_TABLES]
     for experiment, model in runs:
         worker_counts = [None] if experiment in SERIAL_ONLY else ["1", "2"]
         for workers in worker_counts:
@@ -88,5 +94,5 @@ def commands():
 
 if __name__ == "__main__":
     for argv, model in commands():
-        label = " ".join(argv) + ("" if model is None else " --config <sloped>")
+        label = " ".join(argv) + ("" if model is None else f" --config <{model['name']}>")
         print(f"{digest(argv, model)}  {label}", flush=True)
