@@ -7,7 +7,7 @@ particle count, and results are assembled in batch order, so every output
 is bit-identical regardless of worker count or scheduling.
 
 Tasks are small picklable dataclasses holding only primitives plus a
-JSON-able model reference; workers rebuild the model locally.  Each task
+JSON-able model reference; each call builds the model from the reference and
 maps (rows, rng) to a tuple of per-replicate value arrays.
 
 The span tracer ``perfbench/tracer.py`` replaces ``beta0_u_integral``,
@@ -99,46 +99,33 @@ def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
         yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
 
 
-def transform_function(model, transform: str):
-    """The function a task sums: the model's f (``'f'``), or the built-in
-    model's step-1 transform P f_1 (``'pf1'``), which no other model has."""
+def transform_function(ref, transform: str):
+    """The function a task sums: None for the model's own f (``'f'``), or
+    the built-in model's step-1 transform P f_1 (``'pf1'``), which no other
+    reference has."""
     if transform == "f":
-        return model.f
+        return None
     if transform == "pf1":
-        if model.spec != "section7":
+        if ref != "section7":
             raise InvalidArgument("transform 'pf1' is the built-in section7 model's step-1 "
-                                  f"transform; this model's spec is {model.spec!r}")
+                                  f"transform; this model is {ref!r}")
         return section7_pf1
     raise InvalidArgument(f"unknown transform {transform!r} (expected 'f' or 'pf1')")
 
 
-class _TaskBase:
-    """Common model plumbing; subclasses implement __call__(rows, rng)."""
+def _advance(model, shape, steps: int, rng: np.random.Generator):
+    """Initial (rows, M) draw plus ``steps`` selection/mutation rounds.
 
-    def _model(self):
-        model = getattr(self, "_model_cache", None)
-        if model is None:
-            model = build_model(self.model_ref)
-            object.__setattr__(self, "_model_cache", model)
-        return model
-
-    def __getstate__(self):
-        # the rebuilt model holds closures; workers rebuild it from model_ref
-        return {k: v for k, v in self.__dict__.items() if k != "_model_cache"}
-
-    def _advance(self, rows: int, steps: int, rng: np.random.Generator):
-        """Initial draw plus ``steps`` selection/mutation rounds.
-
-        Returns (x, y) with x the mutated population after the last round
-        and y the last selected population (y = x when steps = 0).
-        """
-        for y, x in populations(self._model(), (rows, self.particles), steps, rng):
-            pass
-        return x, y
+    Returns (x, y) with x the mutated population after the last round and y
+    the last selected population (y = x when steps = 0).
+    """
+    for y, x in populations(model, shape, steps, rng):
+        pass
+    return x, y
 
 
 @dataclass(frozen=True)
-class SelectedSumTask(_TaskBase):
+class SelectedSumTask:
     """(1/sqrt(M)) sum_m T(Y_step) with T = f or the built-in step-1
     transform P f_1 (``transform='pf1'``)."""
 
@@ -148,14 +135,15 @@ class SelectedSumTask(_TaskBase):
     transform: str = "f"
 
     def __call__(self, rows: int, rng: np.random.Generator):
-        _, y = self._advance(rows, self.step, rng)
-        fn = transform_function(self._model(), self.transform)
-        vals = np.asarray(fn(y), dtype=float).sum(axis=1) / math.sqrt(self.particles)
+        fn = transform_function(self.model_ref, self.transform)
+        model = build_model(self.model_ref)
+        _, y = _advance(model, (rows, self.particles), self.step, rng)
+        vals = np.asarray((fn or model.f)(y), dtype=float).sum(axis=1) / math.sqrt(self.particles)
         return (vals,)
 
 
 @dataclass(frozen=True)
-class WeightedRatioTask(_TaskBase):
+class WeightedRatioTask:
     """sqrt(M) * sum (g_n f)(X_step) / sum g_n(X_step) on the mutated
     population; the common-to-all-schemes fluctuation statistic."""
 
@@ -164,8 +152,8 @@ class WeightedRatioTask(_TaskBase):
     step: int = 1
 
     def __call__(self, rows: int, rng: np.random.Generator):
-        model = self._model()
-        x, _ = self._advance(rows, self.step, rng)
+        model = build_model(self.model_ref)
+        x, _ = _advance(model, (rows, self.particles), self.step, rng)
         g = model.potential(self.step).fn(x)
         fv = np.asarray(model.f(x), dtype=float)
         vals = math.sqrt(self.particles) * (g * fv).sum(axis=1) / g.sum(axis=1)
@@ -173,27 +161,28 @@ class WeightedRatioTask(_TaskBase):
 
 
 @dataclass(frozen=True)
-class PhiTupleTask(_TaskBase):
+class PhiTupleTask:
     """sum_k T(X_1) T(X_{k+1}) * closed-form window integral over i.i.d.
     initial-law tuples, k = 0..K: one sample of the step-0 selection-noise
     variance of T (``transform`` as in SelectedSumTask)."""
 
     model_ref: object
-    particles: int = 0  # unused; tuples, not particle systems
+    particles: int = 0  # no particles: batch_rows(0) = BATCH_TARGET tuples per batch
     transform: str = "f"
 
     def __call__(self, rows: int, rng: np.random.Generator):
-        model = self._model()
+        fn = transform_function(self.model_ref, self.transform)
+        model = build_model(self.model_ref)
         pot = model.potential(0)
         k_max = correlation_window(0, pot.ratio())
         x = model.sample_positions((rows, k_max + 1), rng)
-        gt = pot.fn(x) / _reference_g_mean(model, 0)
-        fv = np.asarray(transform_function(model, self.transform)(x), dtype=float)
+        gt = pot.fn(x) / _reference_g_mean(self.model_ref, 0)
+        fv = np.asarray((fn or model.f)(x), dtype=float)
         return (sum(term[:, 0] for term in window_kernel_terms(fv, gt, k_max)),)
 
 
 @dataclass(frozen=True)
-class WindowPhiSumTask(_TaskBase):
+class WindowPhiSumTask:
     """Sliding-window mean sum_k (1/M) sum_i phi_k over the step's mutated
     population: one sample of the next step's selection-noise term."""
 
@@ -202,11 +191,11 @@ class WindowPhiSumTask(_TaskBase):
     step: int = 1
 
     def __call__(self, rows: int, rng: np.random.Generator):
-        model = self._model()
+        model = build_model(self.model_ref)
         m = self.particles
-        x, _ = self._advance(rows, self.step, rng)
+        x, _ = _advance(model, (rows, m), self.step, rng)
         pot = model.potential(self.step)
-        gt = pot.fn(x) / _reference_g_mean(model, self.step)
+        gt = pot.fn(x) / _reference_g_mean(self.model_ref, self.step)
         fv = np.asarray(model.f(x), dtype=float)
         terms = window_kernel_terms(fv, gt, correlation_window(0, pot.ratio()))
         return (sum(term.sum(axis=1) for term in terms) / m,)
@@ -219,7 +208,7 @@ def _window_sums(cum: np.ndarray, t: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Conjecture2Task(_TaskBase):
+class Conjecture2Task:
     """Windowed sum statistic with actual bookkeeping (lhs) and with its
     uniform/normalized-potential limit (rhs), h and psi both sums."""
 
@@ -229,17 +218,17 @@ class Conjecture2Task(_TaskBase):
     tuple_size: int = 1
 
     def __call__(self, rows: int, rng: np.random.Generator):
-        model = self._model()
+        model = build_model(self.model_ref)
         m = self.particles
         t = self.tuple_size
-        x, _ = self._advance(rows, self.step, rng)
+        x, _ = _advance(model, (rows, m), self.step, rng)
         g = model.potential(self.step).fn(x)
         h = _window_sums(np.cumsum(x, axis=1), t)
         cum = running_weights(g)
         u_prev = np.mod(np.concatenate([np.zeros((rows, 1)), cum[:, :m - t - 1]], axis=1), 1.0)
         lhs = (h * (u_prev + _window_sums(cum, t))).sum(axis=1) / m
 
-        gt_win = _window_sums(np.cumsum(g / _reference_g_mean(model, self.step), axis=1), t)
+        gt_win = _window_sums(np.cumsum(g / _reference_g_mean(self.model_ref, self.step), axis=1), t)
         u_fresh = rng.random((rows, 1))
         rhs = (h * (u_fresh + gt_win)).sum(axis=1) / m
         return (lhs, rhs)

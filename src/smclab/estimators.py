@@ -32,7 +32,6 @@ class EstimateWithCI:
     lo: float
     hi: float
     n: int
-    kind: str
     level: float = 0.95
 
     @property
@@ -58,7 +57,7 @@ def variance_estimate(samples) -> EstimateWithCI:
     """
     x, m2, m4 = _central_moments(samples)
     hw = float(Z_95 / np.sqrt(len(x)) * np.sqrt(max(m4 - m2**2, 0.0)))
-    return EstimateWithCI(point=m2, lo=m2 - hw, hi=m2 + hw, n=len(x), kind="variance")
+    return EstimateWithCI(point=m2, lo=m2 - hw, hi=m2 + hw, n=len(x))
 
 
 def mean_estimate(samples) -> EstimateWithCI:
@@ -66,7 +65,7 @@ def mean_estimate(samples) -> EstimateWithCI:
     x, m2, _ = _central_moments(samples)
     point = float(x.mean())
     hw = float(Z_95 / np.sqrt(len(x)) * np.sqrt(m2))
-    return EstimateWithCI(point=point, lo=point - hw, hi=point + hw, n=len(x), kind="mean")
+    return EstimateWithCI(point=point, lo=point - hw, hi=point + hw, n=len(x))
 
 
 def normality_check(samples, mu: float, sigma_sq: float, alpha: float = 0.05):

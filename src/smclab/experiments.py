@@ -80,7 +80,7 @@ from ._engine import (
 )
 from .errors import InvalidArgument, InvalidConfig
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
-from .model import ModelConfig, build_model
+from .model import build_model
 from .resampling import (
     conditional_variance_exact,
     multinomial_conditional_variance,
@@ -276,12 +276,12 @@ def overlap_verdict(a: EstimateWithCI, b: EstimateWithCI,
 
 def _value(value: float, n: int = 1) -> EstimateWithCI:
     """A report value without sampling error: lo = hi = point."""
-    return EstimateWithCI(point=value, lo=value, hi=value, n=n, kind="value")
+    return EstimateWithCI(point=value, lo=value, hi=value, n=n)
 
 
 def _shift(est: EstimateWithCI, offset: float, scale: float = 1.0) -> EstimateWithCI:
     return EstimateWithCI(point=est.point * scale + offset, lo=est.lo * scale + offset,
-                          hi=est.hi * scale + offset, n=est.n, kind=est.kind, level=est.level)
+                          hi=est.hi * scale + offset, n=est.n, level=est.level)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ class VarianceReport:
         return self.sigma1_sq + self.sigma2_sq.point
 
 
-def sigma2_sq(model: ModelConfig, n_samples: int, seed: int = 0, workers: int = 1,
+def sigma2_sq(ref, n_samples: int, seed: int = 0, workers: int = 1,
               transform: str = "f") -> VarianceReport:
     """Stratified selection-noise variance at step 0, by Monte Carlo.
 
@@ -309,17 +309,18 @@ def sigma2_sq(model: ModelConfig, n_samples: int, seed: int = 0, workers: int = 
     over ``n_samples`` i.i.d. initial-law tuples drawn on stream 2 of
     ``seed``, with K = ceil(upper/lower) of the step-0 potential, gt = g / E g
     and T the model's f (or, for the built-in model only, P f_1 with
-    ``transform='pf1'``).  The engine rebuilds the model from ``model.spec``.
+    ``transform='pf1'``).  ``ref`` is the model's reference, ``"section7"``
+    or a table; the engine's tasks build the model from it.
     """
     if n_samples < 1:
         raise InvalidArgument("n_samples must be >= 1")
-    f = transform_function(model, transform)
-    (samples,) = run_stream(PhiTupleTask(model.spec, transform=transform), n_samples, seed,
+    f = transform_function(ref, transform)
+    (samples,) = run_stream(PhiTupleTask(ref, transform=transform), n_samples, seed,
                             stream=2, workers=workers)
-    return VarianceReport(sigma1_sq=sigma1_sq(model, f), sigma2_sq=mean_estimate(samples))
+    return VarianceReport(sigma1_sq=sigma1_sq(ref, f), sigma2_sq=mean_estimate(samples))
 
 
-def recursive_variance_step(v_prev: float, model: ModelConfig, step: int,
+def recursive_variance_step(v_prev: float, ref, step: int,
                             mc_particles: int = 2000, mc_replicates: int = 2000,
                             seed: int = 0, workers: int = 1) -> float:
     """One step of the recursive limit-variance formula.
@@ -339,12 +340,12 @@ def recursive_variance_step(v_prev: float, model: ModelConfig, step: int,
     """
     if step < 1:
         raise InvalidArgument("recursive variance step needs step >= 1")
-    if model.spec != "section7" or step != 1:
+    if ref != "section7" or step != 1:
         raise NotImplementedError(
             "recursive variance step currently requires the built-in model at step 1"
         )
     m_g4, term2 = _step1_recursion_terms()
-    task = WindowPhiSumTask(model_ref=model.spec, particles=mc_particles, step=step)
+    task = WindowPhiSumTask(model_ref=ref, particles=mc_particles, step=step)
     (z,) = run_stream(task, mc_replicates, seed=seed, stream=90 + step, workers=workers)
     return v_prev / m_g4 + term2 + float(z.mean())
 
@@ -382,7 +383,7 @@ def _variance_step0(cfg: ExperimentConfig):
     weighted-mean term vs. the window-kernel expectation."""
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
-    limit = sigma2_sq(build_model(cfg.model), cfg.replicates2, cfg.seed, cfg.workers)
+    limit = sigma2_sq(cfg.model, cfg.replicates2, cfg.seed, cfg.workers)
     excess = _shift(variance_estimate(t_vals), -limit.sigma1_sq)
     estimates = {"selection_variance_excess": excess, "window_kernel_mean": limit.sigma2_sq,
                  "sigma1_sq": _value(limit.sigma1_sq)}
@@ -410,7 +411,7 @@ def _variance_step1(cfg: ExperimentConfig):
         point=v11.point - v12.point / scale - correction,
         lo=v11.lo - v12.hi / scale - correction,
         hi=v11.hi - v12.lo / scale - correction,
-        n=v11.n, kind="variance", level=0.90,
+        n=v11.n, level=0.90,
     )
     v2 = mean_estimate(z_vals)
     estimates = {"selection_variance_excess": combined, "window_kernel_mean": v2,
@@ -421,11 +422,10 @@ def _variance_step1(cfg: ExperimentConfig):
 def _clt(cfg: ExperimentConfig):
     """KS normality check of standardized step-1 selected sums against the
     predicted limit N(0, sigma1_sq + sigma2_sq)."""
-    model = build_model(cfg.model)
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
-    limit = sigma2_sq(model, cfg.replicates2, cfg.seed, cfg.workers)
-    samples = t_vals - math.sqrt(cfg.particles) * selected_mean(model)
+    limit = sigma2_sq(cfg.model, cfg.replicates2, cfg.seed, cfg.workers)
+    samples = t_vals - math.sqrt(cfg.particles) * selected_mean(cfg.model)
     stat, passed = normality_check(samples, 0.0, limit.total, alpha=0.05)
     estimates = {"ks_statistic": _value(stat, n=cfg.replicates),
                  "sigma_total": _value(limit.total, n=cfg.replicates2),

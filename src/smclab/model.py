@@ -36,14 +36,14 @@ _BOUND_TOL = 1e-9
 class PotentialSpec:
     """Positive weight function with declared finite bounds on its support.
 
-    ``lower <= fn(x) <= upper`` must hold for every x in ``support``; this is
-    asserted on every evaluation in debug mode (``python`` without ``-O``).
+    ``lower <= fn(x) <= upper`` must hold on the step's reachable support;
+    this is asserted on every evaluation in debug mode (``python`` without
+    ``-O``).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    support: tuple[float, float]
 
     def __post_init__(self):
         if not (0.0 < self.lower <= self.upper < math.inf):
@@ -95,21 +95,20 @@ def uniform_shift_kernel(lo: float = 0.0, hi: float = 1.0) -> KernelSpec:
 class ModelConfig:
     """Full model: initial law, potentials, kernels and test function.
 
-    Built by :func:`build_model`.  ``spec`` is the model's identity: the
-    JSON-able reference (``"section7"`` or a table) from which the engine's
-    workers rebuild the model and by which closed forms are chosen.
-    Immutable after construction; safe to share across threads.  Random
-    state is never stored here, it is always passed in explicitly.
+    Built by :func:`build_model` from a JSON-able reference
+    (``"section7"`` or a table), which is the model's identity: the engine's
+    tasks and the closed forms take the reference, never a built model.  The
+    initial law is uniform on ``initial_support``.  Immutable after
+    construction; safe to share across threads.  Random state is never
+    stored here, it is always passed in explicitly.
     """
 
     sample_positions: Callable[[tuple, np.random.Generator], np.ndarray]
-    initial_density: Callable[[np.ndarray], np.ndarray]
     initial_support: tuple[float, float]
     potential: Callable[[int], PotentialSpec]
     kernel: Callable[[int], KernelSpec]
     f: Callable[[np.ndarray], np.ndarray]
     f_bound: Callable[[int], float]
-    spec: object
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def section7_pf1(x):
 # ---------------------------------------------------------------------------
 
 def weighted_reference_mean(model: ModelConfig, step: int, h: Callable) -> float:
-    """Weighted mean of h at the given step for a d = 1 model with a density.
+    """Weighted mean of h at the given step for a d = 1 model.
 
     Computes  E[h(Z_step) prod_{p<step} g_p(Z_p)] / E[prod_{p<step} g_p(Z_p)]
     where Z is the model's Markov chain started from the initial law.  This
@@ -198,7 +197,7 @@ def weighted_reference_mean(model: ModelConfig, step: int, h: Callable) -> float
     nodes, weights = gauss_legendre(64)
     lo, hi = model.initial_support
     x = lo + (hi - lo) * nodes            # level-0 nodes
-    wgt = (hi - lo) * weights * model.initial_density(x)
+    wgt = (hi - lo) * weights * (1.0 / (hi - lo))  # times the uniform density
 
     num = wgt.copy()
     for p in range(step):
@@ -329,8 +328,8 @@ def build_model(ref) -> ModelConfig:
     a numeric entry that is a bool, not a number, or not finite.  The
     potential must be strictly positive on every reachable support; the
     reachable support at step n is the initial interval shifted by n kernel
-    steps.  The model's ``spec`` is ``ref`` (a copy of a table), so only
-    ``"section7"`` gets the built-in's closed forms.
+    steps.  Only the reference ``"section7"`` gets the built-in's closed
+    forms, not a table equal to its row.
     """
     if ref == "section7":
         table = SECTION7
@@ -363,7 +362,7 @@ def build_model(ref) -> ModelConfig:
         gmin, gmax = g_bounds(lo, hi)
         if gmin <= 0.0:
             raise InvalidModel(f"potential is not strictly positive on step-{n} support [{lo}, {hi}]")
-        return PotentialSpec(fn=g_fn, lower=gmin, upper=gmax, support=(lo, hi))
+        return PotentialSpec(fn=g_fn, lower=gmin, upper=gmax)
 
     def f_bound(n: int) -> float:
         lo, hi = support_at(n)
@@ -377,14 +376,11 @@ def build_model(ref) -> ModelConfig:
         u += a
         return u
 
-    density = 1.0 / (b - a)
     return ModelConfig(
         sample_positions=sample_positions,
-        initial_density=lambda x: np.where((x >= a) & (x <= b), density, 0.0),
         initial_support=(a, b),
         potential=potential,
         kernel=lambda n: kernel_spec,
         f=f_fn,
         f_bound=f_bound,
-        spec=ref if table is SECTION7 else dict(ref),
     )

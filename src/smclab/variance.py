@@ -24,8 +24,9 @@ the kernels.  It walks the windows with ``resampling.live_windows``, as the
 exact conditional variance does with beta1, so the limit and the exact
 variance stop at the same test: no window's middle mass below 1.
 
-Everything here is deterministic.  Closed forms are chosen by the built-in
-model's reference (``model.spec``), never by its free-text name.
+Everything here is deterministic.  The variance components take a model's
+reference, not a built model; closed forms are chosen by the reference
+``"section7"`` with its own f, never by a table's free-text name.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from ._numerics import snapped_frac
 from .errors import InvalidArgument
-from .model import ModelConfig, section7_constants, weighted_reference_mean
+from .model import ModelConfig, build_model, section7_constants, weighted_reference_mean
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +153,12 @@ def min_particles(model: ModelConfig, steps: int) -> int:
 # deterministic variance components
 # ---------------------------------------------------------------------------
 
-def _reference_g_mean(model: ModelConfig, step: int) -> float:
+def _reference_g_mean(ref, step: int) -> float:
     """Weighted reference mean of the step's potential (the normalizer of
     the limiting weights); closed form for the built-in model."""
-    if model.spec == "section7" and step in (0, 1, 2):
+    if ref == "section7" and step in (0, 1, 2):
         return section7_constants(step)["g_mean"]
+    model = build_model(ref)
     return weighted_reference_mean(model, step, model.potential(step).fn)
 
 
@@ -169,31 +171,35 @@ def _step1_recursion_terms() -> tuple[float, float]:
     return scale, c1["mutation_variance"] / (scale * c0["g_mean"])
 
 
-def selected_mean(model: ModelConfig, f: Optional[Callable] = None) -> float:
+def selected_mean(ref, f: Optional[Callable] = None) -> float:
     """E[f g_0] / E[g_0] under the initial law: the limit of the selected
-    population's mean of f at step 0.  Closed form for the built-in model."""
-    f = model.f if f is None else f
-    if model.spec == "section7" and f is model.f:
+    population's mean of f (the model's own when None) at step 0.  Closed
+    form for the built-in model's f."""
+    if ref == "section7" and f is None:
         return section7_constants(0)["selected_f_mean"]
+    model = build_model(ref)
+    f = model.f if f is None else f
     g = model.potential(0)
-    return weighted_reference_mean(model, 0, lambda x: np.asarray(f(x)) * g(x)) / _reference_g_mean(model, 0)
+    return weighted_reference_mean(model, 0, lambda x: np.asarray(f(x)) * g(x)) / _reference_g_mean(ref, 0)
 
 
-def sigma1_sq(model: ModelConfig, f: Optional[Callable] = None) -> float:
-    """Weighted-mean fluctuation variance at step 0.
+def sigma1_sq(ref, f: Optional[Callable] = None) -> float:
+    """Weighted-mean fluctuation variance at step 0 of f (the model's own
+    when None).
 
     With gt = g_0 / E g_0 normalized under the initial law eta:
 
         sigma1_sq = E[ ( gt(X) (f(X) - E[f gt]) )^2 ]
 
-    Closed form for the built-in model, Gauss-Legendre quadrature for any
-    other d = 1 model with a density.
+    Closed form for the built-in model's f, Gauss-Legendre quadrature for
+    any other test function or d = 1 model.
     """
-    f = model.f if f is None else f
-    if model.spec == "section7" and f is model.f:
+    if ref == "section7" and f is None:
         return section7_constants(0)["sigma1_sq"]
+    model = build_model(ref)
+    f = model.f if f is None else f
     g = model.potential(0)
-    g_mean = _reference_g_mean(model, 0)
-    fg_mean = selected_mean(model, f)
+    g_mean = _reference_g_mean(ref, 0)
+    fg_mean = selected_mean(ref, f)
     fluct = lambda x: (g(x) / g_mean * (np.asarray(f(x)) - fg_mean)) ** 2
     return weighted_reference_mean(model, 0, fluct)

@@ -186,14 +186,15 @@ def beta_window_u_integral_numeric(k, y):
     return total
 
 
-def sigma2_beta_mc(model, n_samples, rng):
+def sigma2_beta_mc(ref, n_samples, rng):
     """Step-0 selection-noise variance with every window kernel evaluated at
     one fresh uniform per tuple instead of integrated over it: the
     independent route that ``smclab.sigma2_sq`` is checked against."""
+    model = build_model(ref)
     pot = model.potential(0)
     k_max = correlation_window(0, pot.ratio())
     x = model.sample_positions((n_samples, k_max + 1), rng)
-    gt = pot(x) / _reference_g_mean(model, 0)
+    gt = pot(x) / _reference_g_mean(ref, 0)
     fv = np.asarray(model.f(x), dtype=float)
     mid_cum = np.cumsum(gt, axis=1)
     uu = rng.random(n_samples)

@@ -162,13 +162,14 @@ def test_timing_field_populated_when_enabled():
 
 
 def test_tasks_pickle_after_use():
-    """A task whose model cache was populated locally must still ship to workers."""
+    """A task holds only its model reference and primitives, so it still
+    ships to workers after a local call."""
     import pickle
 
     from smclab._engine import SelectedSumTask, stream_rng
 
     task = SelectedSumTask("section7", 50, step=1)
-    task(4, stream_rng(0, 0, 0))  # populates the local model cache
+    task(4, stream_rng(0, 0, 0))
     clone = pickle.loads(pickle.dumps(task))
     assert clone == task
 
@@ -216,7 +217,7 @@ def test_clt_runner_small(model):
 
 def test_runners_report_the_one_sigma2_route(model):
     """variance-step0 and clt report sigma2_sq's own estimate, bit for bit."""
-    limit = sigma2_sq(model, 300, seed=4)
+    limit = sigma2_sq("section7", 300, seed=4)
     step0 = run_experiment(default_config("variance-step0", particles=300, replicates=400,
                                           replicates2=300, seed=4, timing=False))
     clt = run_experiment(default_config("clt", particles=300, replicates=400,

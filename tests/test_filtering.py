@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smclab import conditional_mean, run_filter, weight_profile
-from smclab._engine import Conjecture2Task, SelectedSumTask, stream_rng
+from smclab._engine import Conjecture2Task, SelectedSumTask, _advance, stream_rng
 from smclab.model import build_model
 from smclab.variance import _reference_g_mean
 
@@ -87,7 +87,7 @@ def test_conjecture2_sides_close_at_scale(model):
     psi = lambda u, w0, w1: u + w0 + w1
     lhs = conjecture2_lhs(rec.mutated, weight_profile(model.potential(1)(rec.mutated)), 1, h, psi)
     # the limit side with the uniform replaced by its mean
-    gt = model.potential(1)(rec.mutated) / _reference_g_mean(model, 1)
+    gt = model.potential(1)(rec.mutated) / _reference_g_mean("section7", 1)
     rhs_mean = conjecture2_rhs(rec.mutated, gt, 1, h, lambda u, w0, w1: 0.5 + w0 + w1,
                                np.random.default_rng(0).random())
     assert lhs == pytest.approx(5.751, abs=0.08)
@@ -95,18 +95,19 @@ def test_conjecture2_sides_close_at_scale(model):
 
 
 def test_conjecture2_equal_weights_u_free_psi():
-    flat = build_model({
+    flat_ref = {
         "name": "flat",
         "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
         "kernel": {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0},
         "g": {"form": "poly", "coeffs": [2.0]},
         "f": {"form": "poly", "coeffs": [0.0, 1.0]},
-    })
+    }
+    flat = build_model(flat_ref)
     rec = run_filter(flat, 500, 1, seed=4).record(1)
     h = lambda a, b: a * b
     psi = lambda u, w0, w1: 3.0 * w0 + w1  # no dependence on the fractional part
     lhs = conjecture2_lhs(rec.mutated, weight_profile(flat.potential(1)(rec.mutated)), 1, h, psi)
-    gt = flat.potential(1)(rec.mutated) / _reference_g_mean(flat, 1)
+    gt = flat.potential(1)(rec.mutated) / _reference_g_mean(flat_ref, 1)
     rhs = conjecture2_rhs(rec.mutated, gt, 1, h, psi, np.random.default_rng(1).random())
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -121,11 +122,11 @@ def test_conjecture2_task_matches_oracle(model, step, t):
     rows = 6
     lhs, rhs = task(rows, stream_rng(5, 1, 0))
     replay = stream_rng(5, 1, 0)
-    x, _ = task._advance(rows, step, replay)
+    x, _ = _advance(model, (rows, task.particles), step, replay)
     u = replay.random((rows, 1))
     h = lambda *cols: sum(cols)
     psi = lambda u, *w: u + sum(w)
-    g_mean = _reference_g_mean(model, step)
+    g_mean = _reference_g_mean("section7", step)
     for r in range(rows):
         g = model.potential(step)(x[r])
         assert lhs[r] == pytest.approx(conjecture2_lhs(x[r], weight_profile(g), t, h, psi), rel=1e-9)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from smclab import (
     InvalidArgument,
+    InvalidModel,
     beta0,
     beta0_u_integral,
     beta1,
@@ -124,53 +125,68 @@ def test_correlation_window_values():
 # variance components
 # ---------------------------------------------------------------------------
 
-def test_sigma1_closed_form_and_reductions(model):
-    assert sigma1_sq(model) == pytest.approx(0.2662106707887794, abs=1e-12)
+def test_sigma1_closed_form_and_reductions():
+    assert sigma1_sq("section7") == pytest.approx(0.2662106707887794, abs=1e-12)
     # constant test function: variance vanishes
-    val = sigma1_sq(model, f=lambda x: np.full_like(np.asarray(x, dtype=float), 2.5))
+    val = sigma1_sq("section7", f=lambda x: np.full_like(np.asarray(x, dtype=float), 2.5))
     assert val == pytest.approx(0.0, abs=1e-10)
     # flat potential: reduces to the plain variance of f
-    flat = build_model({
+    flat = {
         "name": "flat",
         "initial": {"law": "uniform", "lo": 0.0, "hi": 1.0},
         "kernel": {"kind": "uniform_shift", "lo": 0.0, "hi": 1.0},
         "g": {"form": "poly", "coeffs": [1.0]},
         "f": {"form": "poly", "coeffs": [0.0, 1.0]},
-    })
+    }
     assert sigma1_sq(flat) == pytest.approx(1.0 / 12.0, abs=1e-10)
 
 
+def test_variance_components_follow_the_reference():
+    """The reference is the model's only identity: doubling f in the table
+    scales both components by exactly 4, and a built model is not a
+    reference, so a model changed after building cannot pass for another."""
+    base = {"name": "exp-f", "g": {"form": "exp"}, "f": {"form": "exp"}}
+    doubled = {**base, "f": {"form": "exp", "scale": 2.0}}
+    one, two = sigma2_sq(base, 2000, seed=1), sigma2_sq(doubled, 2000, seed=1)
+    assert two.sigma2_sq.point == 4.0 * one.sigma2_sq.point
+    assert two.sigma1_sq == 4.0 * one.sigma1_sq
+    with pytest.raises(InvalidModel, match="unknown model reference"):
+        sigma2_sq(build_model("section7"), 100, seed=1)
+    with pytest.raises(InvalidModel, match="unknown model reference"):
+        sigma1_sq(build_model(base))
+
+
 def test_sigma2_zero_function():
-    zero_f = build_model({"name": "zero-f", "g": {"form": "exp"},
-                          "f": {"form": "poly", "coeffs": [0.0]}})
+    zero_f = {"name": "zero-f", "g": {"form": "exp"}, "f": {"form": "poly", "coeffs": [0.0]}}
     rep = sigma2_sq(zero_f, 500, seed=3)
     assert rep.sigma2_sq.point == 0.0
     assert rep.sigma2_sq.half_width == 0.0
 
 
 def test_sigma2_value_and_method_agreement(model):
-    closed = sigma2_sq(model, 150_000, seed=11)
-    direct = sigma2_beta_mc(model, 150_000, np.random.default_rng(12))
+    closed = sigma2_sq("section7", 150_000, seed=11)
+    direct = sigma2_beta_mc("section7", 150_000, np.random.default_rng(12))
     # step-0 tuples yield at most 3 window terms: window 3 vanishes, since
     # its middle mass gt_1 + gt_2 >= 2/(e-1) > 1
     tuples = model.sample_positions((10_000, 4), np.random.default_rng(13))
-    fv, gt, k_max = _window_inputs(model, tuples, 0)
+    fv, gt, k_max = _window_inputs("section7", tuples, 0)
     assert k_max == 3 and len(list(_engine.window_kernel_terms(fv, gt, k_max))) <= 3
     assert closed.total == pytest.approx(closed.sigma1_sq + closed.sigma2_sq.point, rel=1e-12)
-    # reference value of the selection-noise component
-    assert closed.sigma2_sq.point == pytest.approx(0.0793412, abs=6 * closed.sigma2_sq.half_width)
+    # reference value of the selection-noise component, by quadrature
+    assert closed.sigma2_sq.point == pytest.approx(0.07930644853977625,
+                                                   abs=6 * closed.sigma2_sq.half_width)
     # the closed form and the kernel at a fresh uniform agree within joint intervals
     joint = closed.sigma2_sq.half_width + direct.half_width
     assert abs(closed.sigma2_sq.point - direct.point) < joint
     # integrating the uniform out can only shrink the sampler variance
     assert closed.sigma2_sq.half_width < direct.half_width
     with pytest.raises(InvalidArgument):
-        sigma2_sq(model, 0)
+        sigma2_sq("section7", 0)
     with pytest.raises(InvalidArgument):
-        sigma2_sq(model, 100, transform="bogus")
+        sigma2_sq("section7", 100, transform="bogus")
 
 
-def test_expected_conditional_variance_converges_to_sigma2(model):
+def test_expected_conditional_variance_converges_to_sigma2():
     """Mean of the exact conditional variance over fresh populations
     approaches the selection-noise component."""
     rng = np.random.default_rng(5)
@@ -183,7 +199,7 @@ def test_expected_conditional_variance_converges_to_sigma2(model):
         vals[j] = conditional_variance_exact(prof, np.exp(x))
     from smclab.estimators import mean_estimate
     got = mean_estimate(vals)
-    ref = sigma2_sq(model, 200_000, seed=6).sigma2_sq
+    ref = sigma2_sq("section7", 200_000, seed=6).sigma2_sq
     assert abs(got.point - ref.point) < 3 * (got.half_width + ref.half_width)
 
 
@@ -271,9 +287,10 @@ def test_cube_gap_matches_unmasked_product():
     assert beta_pair_u_integral(0.2, 0.3, 0.4) == float(old_pair)
 
 
-def _window_inputs(model, x, step):
+def _window_inputs(ref, x, step):
+    model = build_model(ref)
     pot = model.potential(step)
-    gt = pot.fn(x) / _reference_g_mean(model, step)
+    gt = pot.fn(x) / _reference_g_mean(ref, step)
     return np.asarray(model.f(x), dtype=float), gt, correlation_window(0, pot.ratio())
 
 
@@ -281,15 +298,13 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
     """The yielded terms equal the unmasked, every-k evaluation bit for bit
     (up to the sign of zero), every dense term past them is 0, and the pair
     kernel is never evaluated past the last live window size."""
-    sloped = build_model(SLOPED)
-    step1 = _engine.WindowPhiSumTask("section7", 300, step=1)
-    x1, _ = step1._advance(6, 1, _engine.stream_rng(1, 3, 0))
-    fv_s, gt_s, k_s = _window_inputs(sloped, np.random.default_rng(3).random((12, 9)), 0)
+    x1, _ = _engine._advance(model, (6, 300), 1, _engine.stream_rng(1, 3, 0))
+    fv_s, gt_s, k_s = _window_inputs(SLOPED, np.random.default_rng(3).random((12, 9)), 0)
     # the stop differs between the sloped rows; only k <= 1 is live once every gt >= 1
     assert len(set(_last_live_k(gt_s, k_s))) > 1
     assert _last_live_k(1.0 + gt_s, k_s).max() == 1
     cases = {
-        "section7 step 1": _window_inputs(model, x1, 1),
+        "section7 step 1": _window_inputs("section7", x1, 1),
         "sloped tuples": (fv_s, gt_s, k_s),
         "only k <= 1 live": (fv_s, 1.0 + gt_s, k_s),
     }
@@ -310,26 +325,25 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
 def test_sigma2_sq_is_batch_invariant(monkeypatch, pair_calls):
     """Batches stop at different window sizes, each returns its one summed
     output, and sigma2_sq is the mean of the stream's output."""
-    sloped = build_model(SLOPED)
     monkeypatch.setattr(_engine, "BATCH_TARGET", 4)  # 4 tuples per batch
     n, seed = 40, 7
-    task = _engine.PhiTupleTask(sloped.spec)
+    task = _engine.PhiTupleTask(SLOPED)
     stops = set()
     for b in range(n // 4):
         pair_calls.clear()
         assert len(task(4, _engine.stream_rng(seed, 2, b))) == 1
         stops.add(len(pair_calls))
     assert len(stops) > 1, stops
-    rep = sigma2_sq(sloped, n, seed=seed)
+    rep = sigma2_sq(SLOPED, n, seed=seed)
     (samples,) = _engine.run_stream(task, n, seed, stream=2)
     assert rep.sigma2_sq == mean_estimate(samples)
 
 
-def test_recursive_variance_step(model):
+def test_recursive_variance_step():
     """Two-step limit variance assembled recursively vs. simulated directly."""
     # previous-step variance of the transformed test function
-    v_prev = sigma2_sq(model, 300_000, seed=21, transform="pf1").total
-    v2 = recursive_variance_step(v_prev, model, step=1, mc_particles=1000,
+    v_prev = sigma2_sq("section7", 300_000, seed=21, transform="pf1").total
+    v2 = recursive_variance_step(v_prev, "section7", step=1, mc_particles=1000,
                                  mc_replicates=1500, seed=31)
     # direct simulation of the step-2 selected sums
     from smclab._engine import SelectedSumTask, run_stream
@@ -339,8 +353,8 @@ def test_recursive_variance_step(model):
     assert v2 == pytest.approx(3.266, abs=0.2)
     assert abs(v2 - direct.point) < 4 * direct.half_width + 0.05
     with pytest.raises(InvalidArgument):
-        recursive_variance_step(1.0, model, step=0)
-    custom = build_model({"name": "c", "g": {"form": "exp"}, "f": {"form": "exp"}})
+        recursive_variance_step(1.0, "section7", step=0)
+    custom = {"name": "c", "g": {"form": "exp"}, "f": {"form": "exp"}}
     with pytest.raises(NotImplementedError):
         recursive_variance_step(1.0, custom, step=1)
 
@@ -350,6 +364,6 @@ def test_pf1_transform_needs_the_builtin_model():
     even a table equal to section7's row."""
     for table in (SLOPED, {"g": {"form": "exp"}, "f": {"form": "exp"}}):
         with pytest.raises(InvalidArgument, match="pf1"):
-            sigma2_sq(build_model(table), 200, seed=1, transform="pf1")
+            sigma2_sq(table, 200, seed=1, transform="pf1")
         with pytest.raises(InvalidArgument, match="pf1"):
             _engine.SelectedSumTask(table, 300, transform="pf1")(2, _engine.stream_rng(1, 2, 0))

@@ -8,10 +8,11 @@ command line entry point with ``--no-timing``, as CSV and as JSON, with
 ``beta-table`` grids at their default size.  ``variance-step0``, ``clt``
 and ``compare-resamplers`` run again on two model tables, given through
 ``--config`` (printed as ``--config <name>``): a sloped table off every
-default, and a ratio-30 table whose step-0 windows reach k = 30.  A refactor
-that must not move a digit prints the same lines before and after; compare
-the two outputs with ``diff``.  The ``smclab`` package is imported from the ``src/`` next to
-this script.
+default, and a ratio-30 table whose step-0 windows reach k = 30.
+``conjecture2`` runs again on the sloped table, where its step-2 g-mean
+comes from quadrature.  A refactor that must not move a digit prints the
+same lines before and after; compare the two outputs with ``diff``.  The
+``smclab`` package is imported from the ``src/`` next to this script.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ RATIO30 = {"name": "ratio30",
            "g": {"form": "exp", "rate": 3.4},
            "f": {"form": "poly", "coeffs": [0.2, 1.0, -0.3]}}
 ON_TABLES = ("variance-step0", "clt", "compare-resamplers")
+ON_SLOPED = ("conjecture2",)
 
 
 def digest(argv: list[str], model=None) -> str:
@@ -79,6 +81,7 @@ def commands():
     """Yield (argv, model table or None)."""
     runs = [(experiment, None) for experiment in REPORTS]
     runs += [(experiment, table) for table in (SLOPED, RATIO30) for experiment in ON_TABLES]
+    runs += [(experiment, SLOPED) for experiment in ON_SLOPED]
     for experiment, model in runs:
         worker_counts = [None] if experiment in SERIAL_ONLY else ["1", "2"]
         for workers in worker_counts:
