@@ -23,7 +23,6 @@ from .model import (
 from .resampling import (
     SelectionCoefficients,
     WeightProfile,
-    conditional_mean,
     conditional_variance_exact,
     conditional_variance_oracle,
     multinomial_conditional_variance,

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, SmclabError
 from .model import build_model, section7_pf1
 from .resampling import ancestors, live_windows
 from .variance import (
@@ -85,17 +86,18 @@ def populations(model, shape, steps: int, rng: np.random.Generator):
         yield y, x
 
 
-def window_kernel_terms(fv: np.ndarray, gt: np.ndarray, k_max: int):
+def window_kernel_terms(fv: np.ndarray, gt: np.ndarray):
     """Yield f_i f_{i+k} int_0^1 beta_window(k, u, gt_i..gt_{i+k}) du over
-    every window start i, for k = 0 and each live k <= k_max of
-    ``live_windows``: one (rows, n - k) term at a time, so that no more than
-    one term of the whole population is alive at once.  The walk stops at
-    the first k with no live window, whose term and every later one would be
-    0 everywhere; how many terms a batch yields depends on its draws.
+    every window start i, for k = 0 and each live k of ``live_windows``: one
+    (rows, n - k) term at a time, so that no more than one term of the whole
+    population is alive at once.  The walk stops at the first k with no live
+    window, whose term and every later one would be 0 everywhere; how many
+    terms a batch yields depends on its draws, and with gt >= 1 / ratio it
+    is at most ceil(ratio) + 1.
     """
     n = gt.shape[1]
     yield fv**2 * beta0_u_integral(gt)
-    for k, mid in live_windows(np.cumsum(gt, axis=1), k_max):
+    for k, mid in live_windows(np.cumsum(gt, axis=1)):
         yield fv[:, :n - k] * fv[:, k:] * beta_pair_u_integral(gt[:, :n - k], mid, gt[:, k:])
 
 
@@ -174,11 +176,10 @@ class PhiTupleTask:
         fn = transform_function(self.model_ref, self.transform)
         model = build_model(self.model_ref)
         pot = model.potential(0)
-        k_max = correlation_window(0, pot.ratio())
-        x = model.sample_positions((rows, k_max + 1), rng)
+        x = model.sample_positions((rows, correlation_window(0, pot.ratio()) + 1), rng)
         gt = pot.fn(x) / _reference_g_mean(self.model_ref, 0)
         fv = np.asarray((fn or model.f)(x), dtype=float)
-        return (sum(term[:, 0] for term in window_kernel_terms(fv, gt, k_max)),)
+        return (sum(term[:, 0] for term in window_kernel_terms(fv, gt)),)
 
 
 @dataclass(frozen=True)
@@ -194,11 +195,9 @@ class WindowPhiSumTask:
         model = build_model(self.model_ref)
         m = self.particles
         x, _ = _advance(model, (rows, m), self.step, rng)
-        pot = model.potential(self.step)
-        gt = pot.fn(x) / _reference_g_mean(self.model_ref, self.step)
+        gt = model.potential(self.step).fn(x) / _reference_g_mean(self.model_ref, self.step)
         fv = np.asarray(model.f(x), dtype=float)
-        terms = window_kernel_terms(fv, gt, correlation_window(0, pot.ratio()))
-        return (sum(term.sum(axis=1) for term in terms) / m,)
+        return (sum(term.sum(axis=1) for term in window_kernel_terms(fv, gt)) / m,)
 
 
 def _window_sums(cum: np.ndarray, t: int) -> np.ndarray:
@@ -244,7 +243,8 @@ def run_stream(task, n_rep: int, seed: int, stream: int, workers: int = 1):
     """Run ``n_rep`` replicates of a task; returns per-output arrays.
 
     The batch decomposition and per-batch generators depend only on
-    (task.particles, seed, stream), never on ``workers``.
+    (task.particles, seed, stream), never on ``workers``.  A worker process
+    that dies (killed, or exiting without a result) is an ``SmclabError``.
     """
     rows = batch_rows(task.particles)
     jobs = []
@@ -258,7 +258,10 @@ def run_stream(task, n_rep: int, seed: int, stream: int, workers: int = 1):
     if workers <= 1 or len(jobs) == 1:
         parts = [_run_batch(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_batch, jobs, chunksize=max(1, len(jobs) // (8 * workers))))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_run_batch, jobs, chunksize=max(1, len(jobs) // (8 * workers))))
+        except BrokenProcessPool as exc:
+            raise SmclabError(f"a worker process ended abruptly: {exc}") from None
     n_out = len(parts[0])
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(n_out))

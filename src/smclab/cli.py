@@ -7,8 +7,8 @@
 
 Flags override config-file values.  Exit code 0 when the experiment verdict
 passes (or a beta-table grid was written), 2 when it fails, 1 on error,
-including a malformed flag and a report or grid that cannot be written to
-``--out``.
+including a malformed flag, a report or grid that cannot be written to
+``--out`` and a worker process that dies.
 """
 
 from __future__ import annotations

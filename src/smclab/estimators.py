@@ -32,7 +32,6 @@ class EstimateWithCI:
     lo: float
     hi: float
     n: int
-    level: float = 0.95
 
     @property
     def half_width(self) -> float:

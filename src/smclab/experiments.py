@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import numbers
@@ -152,10 +151,6 @@ class ReportRow:
     particles: int
     seed: int
     wall_time_s: float
-
-    @property
-    def half_width(self) -> float:
-        return (self.ci_hi - self.ci_lo) / 2.0
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     needed = min_particles(model, 2 if cfg.experiment in ("variance-step1", "conjecture2") else 1)
     if cfg.particles < needed:
         raise InvalidConfig(
-            f"particles must be >= 1 + ceil(max potential ratio) = {needed}, got {cfg.particles}"
+            f"particles must be >= 1 + the widest correlation window = {needed}, got {cfg.particles}"
         )
     if cfg.experiment == "conjecture2" and (cfg.step not in (1, 2) or cfg.tuple_size not in (1, 2)):
         raise InvalidConfig("conjecture2 supports step in {1, 2} and tuple_size in {1, 2}")
@@ -281,7 +276,7 @@ def _value(value: float, n: int = 1) -> EstimateWithCI:
 
 def _shift(est: EstimateWithCI, offset: float, scale: float = 1.0) -> EstimateWithCI:
     return EstimateWithCI(point=est.point * scale + offset, lo=est.lo * scale + offset,
-                          hi=est.hi * scale + offset, n=est.n, level=est.level)
+                          hi=est.hi * scale + offset, n=est.n)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +302,11 @@ def sigma2_sq(ref, n_samples: int, seed: int = 0, workers: int = 1,
 
     Averages sum_{k=0}^{K} T(X_1) T(X_{k+1}) int_0^1 beta_window(k, u, gt) du
     over ``n_samples`` i.i.d. initial-law tuples drawn on stream 2 of
-    ``seed``, with K = ceil(upper/lower) of the step-0 potential, gt = g / E g
-    and T the model's f (or, for the built-in model only, P f_1 with
-    ``transform='pf1'``).  ``ref`` is the model's reference, ``"section7"``
-    or a table; the engine's tasks build the model from it.
+    ``seed``, with K = correlation_window(0, upper/lower) of the step-0
+    potential, gt = g / E g and T the model's f (or, for the built-in model
+    only, P f_1 with ``transform='pf1'``).  ``ref`` is the model's
+    reference, ``"section7"`` or a table; the engine's tasks build the model
+    from it.
     """
     if n_samples < 1:
         raise InvalidArgument("n_samples must be >= 1")
@@ -411,7 +407,7 @@ def _variance_step1(cfg: ExperimentConfig):
         point=v11.point - v12.point / scale - correction,
         lo=v11.lo - v12.hi / scale - correction,
         hi=v11.hi - v12.lo / scale - correction,
-        n=v11.n, level=0.90,
+        n=v11.n,
     )
     v2 = mean_estimate(z_vals)
     estimates = {"selection_variance_excess": combined, "window_kernel_mean": v2,
@@ -522,7 +518,9 @@ def beta_table_text(kind: str, points: Optional[int] = None) -> str:
     """CSV grid of a variance kernel; columns x, y1 [, y2, y3], value.
 
     Every axis starts at 0 and has ``points`` nodes (a per-kind default when
-    None); the grid is the product of the axes, first axis outermost.
+    None); the grid is the product of the axes, first axis outermost.  The
+    kernel is called once, on the arrays of all nodes, so the grid carries
+    the bits the engine's array evaluation gives.
     """
     # kind: (axis names, axis ends, default points, kernel)
     tables = {
@@ -540,8 +538,10 @@ def beta_table_text(kind: str, points: Optional[int] = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([*names, "value"])
-    for node in itertools.product(*(np.linspace(0.0, end, n) for end in ends)):
-        writer.writerow([*(repr(float(v)) for v in node), repr(float(kernel(*node)))])
+    nodes = [axis.ravel() for axis in np.meshgrid(*(np.linspace(0.0, end, n) for end in ends),
+                                                  indexing="ij")]
+    for *node, value in zip(*nodes, kernel(*nodes)):
+        writer.writerow([*(repr(float(v)) for v in node), repr(float(value))])
     return buf.getvalue()
 
 

@@ -67,7 +67,7 @@ def run_filter(model: ModelConfig, particles: int, steps: int, seed: int) -> Fil
     needed = min_particles(model, steps)
     if particles < needed:
         warnings.warn(
-            f"particle count {particles} is below 1 + ceil(max weight ratio) = {needed}; "
+            f"particle count {particles} is below 1 + the widest correlation window = {needed}; "
             "variance formulas assume at least that many particles",
             stacklevel=2,
         )

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from ._numerics import SNAP_TOL, kahan_cumsum
+from ._numerics import SNAP_TOL, kahan_cumsum, snapped_frac
 from .errors import InvalidArgument, InvalidModel
 from .variance import beta0, beta1
 
@@ -86,11 +86,8 @@ def weight_profile(g_values) -> WeightProfile:
     u = np.zeros(m + 1)
     mu = np.ones(m + 1, dtype=np.int64)
     fl = np.floor(cum)
-    fr = cum - fl
-    near_up = fr > 1.0 - SNAP_TOL
-    near_down = fr < SNAP_TOL
-    u[1:] = np.where(near_up | near_down, 0.0, fr)
-    mu[1:] = np.where(near_up, fl + 2.0, fl + 1.0).astype(np.int64)
+    u[1:] = snapped_frac(cum)
+    mu[1:] = np.where(cum - fl > 1.0 - SNAP_TOL, fl + 2.0, fl + 1.0).astype(np.int64)
     u[m] = 0.0
     mu[m] = m + 1
     return WeightProfile(w=w, cum=cum, u=u, mu=mu)
@@ -169,9 +166,6 @@ class SelectionCoefficients:
     def col_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=0)).ravel()
 
-    def max_row_nnz(self) -> int:
-        return int(np.diff(self.matrix.indptr).max())
-
 
 def selection_coefficients(profile: WeightProfile) -> SelectionCoefficients:
     """Exact conditional selection probabilities q_{m,i}.
@@ -205,25 +199,21 @@ def selection_coefficients(profile: WeightProfile) -> SelectionCoefficients:
     return SelectionCoefficients(matrix=mat)
 
 
-def conditional_mean(profile: WeightProfile, f_values) -> float:
-    """Conditional expectation of M^{-1} sum_m f(Y_m): the weighted mean
-    sum_i w_i f_i / M.  Unbiasedness of every resampling scheme here."""
-    f = np.asarray(f_values, dtype=float)
-    return float(np.dot(profile.w, f) / profile.size)
-
-
-def live_windows(cum, k_max: int):
-    """Yield (k, mid) for k = 1..k_max while some window of size k is live.
+def live_windows(cum):
+    """Yield (k, mid) for k = 1, 2, ... while some window of size k is live.
 
     ``cum`` holds running sums S_i of weights along its last axis; ``mid`` is
     the middle mass w_{i+1} + ... + w_{i+k-1} = S_{i+k-1} - S_i of every
     window start i.  The beta kernels vanish once the middle mass reaches 1.
     For a fixed start the middle mass is non-decreasing in k, also in
     floating point, so once no window of size k is live (mid < 1), no larger
-    window is either, and the walk returns.
+    window is either, and the walk returns, at the latest after k = n - 1.
+    It needs no cap: with potential bounds of ratio upper / lower, every
+    normalized weight is at least 1 / ratio, so no k above ceil(ratio) is
+    live (up to the rounding of the sums).
     """
     n = cum.shape[-1]
-    for k in range(1, k_max + 1):
+    for k in range(1, n):
         mid = cum[..., k - 1:n - 1] - cum[..., :n - k]
         if not (mid < 1.0).any():
             return
@@ -249,7 +239,7 @@ def conditional_variance_exact(profile: WeightProfile, f_values) -> float:
         raise InvalidArgument("f_values length must match the profile size")
     w, cum, u = profile.w, profile.cum, profile.u
     total = float(np.sum(f**2 * beta0(u[:m], w)))
-    for k, mid in live_windows(cum, m - 1):
+    for k, mid in live_windows(cum):
         b1 = beta1(u[0:m - k], w[0:m - k], mid, w[k:])
         total -= float(np.sum(f[0:m - k] * f[k:] * b1))
     return total / m

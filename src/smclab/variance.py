@@ -22,7 +22,10 @@ closed forms (:func:`beta0_u_integral` for one stratum,
 windows; the tests check it against an independent numeric integration of
 the kernels.  It walks the windows with ``resampling.live_windows``, as the
 exact conditional variance does with beta1, so the limit and the exact
-variance stop at the same test: no window's middle mass below 1.
+variance stop at the same test: no window's middle mass below 1.  That walk
+takes no cap; :func:`correlation_window` is the one bound declared before
+drawing (the step-0 tuple length, :func:`min_particles`).  The u-integrals
+take one array path for 0-d and array arguments, so the bits agree.
 
 Everything here is deterministic.  The variance components take a model's
 reference, not a built model; closed forms are chosen by the reference
@@ -107,12 +110,11 @@ def _cube_gap(t):
     Where that product gave -0.0 (or NaN once the cube overflowed), this
     gives +0.0.
 
-    A 0-d ``t`` keeps the scalar route: a numpy scalar's ``pow`` is libm's,
-    an array's is numpy's own loop, and the two differ in the last bit for
-    some bases.
+    A 0-d ``t`` takes the same array route, so a kernel has the same bits
+    for one argument as for an array of them (a numpy scalar's ``pow`` is
+    libm's, which differs from numpy's array loop in the last bit for some
+    bases).
     """
-    if np.ndim(t) == 0:
-        return (1.0 - t) ** 3 if t < 1.0 else np.float64(0.0)
     return np.power(1.0 - t, 3.0, out=np.zeros_like(t), where=t < 1.0)
 
 
@@ -144,9 +146,10 @@ def correlation_window(k: int, ratio: float) -> int:
 
 
 def min_particles(model: ModelConfig, steps: int) -> int:
-    """1 + ceil(max potential ratio over steps 0..``steps``): the fewest
-    particles the variance formulas of those steps assume."""
-    return 1 + math.ceil(max(model.potential(n).ratio() for n in range(steps + 1)))
+    """1 + the largest ``correlation_window(0, ratio)`` of the potentials of
+    steps 0..``steps``: the fewest particles the variance formulas of those
+    steps assume, one window of the declared reach."""
+    return 1 + max(correlation_window(0, model.potential(n).ratio()) for n in range(steps + 1))
 
 
 # ---------------------------------------------------------------------------

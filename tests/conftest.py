@@ -72,6 +72,17 @@ def assert_same_csr(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def conditional_mean(profile, f_values):
+    """Conditional expectation of M^{-1} sum_m f(Y_m): the weighted mean
+    sum_i w_i f_i / M, which every resampling scheme here is unbiased for."""
+    return float(np.dot(profile.w, np.asarray(f_values, dtype=float)) / profile.size)
+
+
+def max_row_nnz(coeffs):
+    """Most non-zeros in one row (one stratum) of the q-matrix."""
+    return int(np.diff(coeffs.matrix.indptr).max())
+
+
 def ancestors_merge_walk(cum, points):
     """O(M) merge walk over sorted query points: an oracle for the binary
     search of ``smclab.resampling.ancestors``, resolving ties identically
@@ -113,7 +124,7 @@ def window_integral_closed(k, f, y):
     for a k past the last live window, where the evaluator stops."""
     f = np.asarray(f, dtype=float)[None, :]
     y = np.asarray(y, dtype=float)[None, :]
-    terms = list(window_kernel_terms(f, y, k))
+    terms = list(window_kernel_terms(f, y))
     return float(terms[k][0, 0]) if k < len(terms) else 0.0
 
 

@@ -123,7 +123,8 @@ def test_criterion_04_step0_variance_table(step0_report):
                in_band and report.verdict and elapsed < 300.0,
                f"excess = {excess.estimate:.5f}, window mean = {window.estimate:.5f}, "
                f"|diff| = {abs(excess.estimate - window.estimate):.5f} vs "
-               f"3hw = {3 * (excess.half_width + window.half_width):.5f}, {elapsed:.0f}s")
+               f"3hw = {1.5 * (excess.ci_hi - excess.ci_lo + window.ci_hi - window.ci_lo):.5f}, "
+               f"{elapsed:.0f}s")
 
 
 def test_criterion_05_step1_recursion_head():

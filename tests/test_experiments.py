@@ -1,10 +1,25 @@
+import itertools
 import json
+import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from smclab import InvalidConfig, InvalidModel
+from smclab import (
+    InvalidConfig,
+    InvalidModel,
+    SmclabError,
+    beta0,
+    beta0_u_integral,
+    beta1,
+    beta_pair_u_integral,
+    cli,
+    experiments,
+)
+from smclab._engine import BATCH_TARGET, run_stream
 from smclab.experiments import (
     ExperimentConfig,
     beta_table_text,
@@ -262,6 +277,23 @@ def test_beta_table_grids():
         assert len(beta_table_text(kind).splitlines()) == 1 + rows, kind
 
 
+def test_beta_table_is_one_array_evaluation():
+    """Each default grid is its kernel called once on the arrays of all
+    nodes, bit for bit, with the nodes in product order (first axis
+    outermost)."""
+    tables = {
+        "beta0": (beta0, (1.0, 3.0), 41),
+        "beta1": (beta1, (1.0, 2.0, 2.0, 2.0), 9),
+        "phi0": (beta0_u_integral, (3.0,), 101),
+        "phik": (beta_pair_u_integral, (2.0, 2.0, 2.0), 17),
+    }
+    for kind, (kernel, ends, points) in tables.items():
+        nodes = np.array(list(itertools.product(*(np.linspace(0.0, end, points) for end in ends)))).T
+        expected = [",".join([*(repr(float(v)) for v in node), repr(float(value))])
+                    for *node, value in zip(*nodes, kernel(*nodes))]
+        assert beta_table_text(kind).splitlines()[1:] == expected, kind
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -269,6 +301,28 @@ def test_beta_table_grids():
 def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "smclab.cli", *args],
                           capture_output=True, text=True)
+
+
+@dataclass(frozen=True)
+class _ExitingTask:
+    """A task whose worker process exits without returning a result."""
+
+    particles: int = BATCH_TARGET  # one row per batch
+
+    def __call__(self, rows, rng):
+        os._exit(3)
+
+
+def test_dead_worker_is_an_error(monkeypatch, capsys):
+    """A pool worker that dies ends the stream with an SmclabError, and the
+    command line with exit 1 and an error line, not a traceback."""
+    with pytest.raises(SmclabError, match="worker process"):
+        run_stream(_ExitingTask(), 2, seed=0, stream=0, workers=2)
+    monkeypatch.setitem(experiments._RUNNERS, "conjecture2",
+                        lambda cfg: run_stream(_ExitingTask(), 2, cfg.seed, 0, workers=2))
+    assert cli.main(["conjecture2", "--particles", "400", "--replicates", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process") and "Traceback" not in err
 
 
 def test_cli_end_to_end(tmp_path):

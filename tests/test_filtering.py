@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from smclab import conditional_mean, run_filter, weight_profile
+from smclab import run_filter, weight_profile
 from smclab._engine import Conjecture2Task, SelectedSumTask, _advance, stream_rng
 from smclab.model import build_model
 from smclab.variance import _reference_g_mean
 
-from conftest import conjecture2_lhs, conjecture2_rhs
+from conftest import conditional_mean, conjecture2_lhs, conjecture2_rhs
 
 E = math.e
 SLOPED_MODEL = {

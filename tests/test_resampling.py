@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from smclab import (
     InvalidArgument,
     InvalidModel,
-    conditional_mean,
     conditional_variance_exact,
     conditional_variance_oracle,
     multinomial_conditional_variance,
@@ -24,6 +23,8 @@ from smclab.resampling import SCHEMES, ancestors
 from conftest import (
     ancestors_merge_walk,
     assert_same_csr,
+    conditional_mean,
+    max_row_nnz,
     random_profile,
     selection_coefficients_loop,
 )
@@ -281,7 +282,7 @@ def test_coefficient_laws_random(rng):
         coeffs = selection_coefficients(prof)
         assert np.max(np.abs(coeffs.row_sums() - 1.0)) < 1e-12
         assert np.max(np.abs(coeffs.col_sums() - prof.w)) < 1e-12
-        assert coeffs.max_row_nnz() <= math.ceil(1.0 + prof.w.max()) + 1
+        assert max_row_nnz(coeffs) <= math.ceil(1.0 + prof.w.max()) + 1
         # q_{m,i} is the length of stratum (m-1, m] inside (S_{i-1}, S_i]
         s = np.concatenate([[0.0], prof.cum])
         strata = np.arange(1, prof.size + 1)[:, None]

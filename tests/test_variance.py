@@ -20,7 +20,8 @@ from smclab import (
 )
 from smclab import _engine
 from smclab.estimators import mean_estimate
-from smclab.variance import _cube_gap, _reference_g_mean, beta_pair_u_integral
+from smclab.resampling import live_windows
+from smclab.variance import _cube_gap, _reference_g_mean, beta_pair_u_integral, min_particles
 
 from conftest import (
     beta_window,
@@ -121,6 +122,23 @@ def test_correlation_window_values():
         correlation_window(0, 0.5)
 
 
+def test_min_particles_is_one_more_than_the_declared_window(monkeypatch):
+    """min_particles reads correlation_window, which rounds a ratio within
+    1e-12 above an integer down to it; section7 keeps its counts."""
+    edge = {"g": {"form": "poly", "coeffs": [1.0, 2.0000000000001]}}
+    model = build_model(edge)
+    # step-0 ratio 3 + 1e-13, step-1 ratio 5 + 2e-13 (X_1 lies in [0, 2])
+    assert [min_particles(model, steps) for steps in (0, 1)] == [4, 6]
+    assert [min_particles(build_model("section7"), steps) for steps in (0, 1, 2)] == [4, 9, 22]
+    # the step-0 tuples of sigma2_sq are as long as that
+    shapes = []
+    evaluate = _engine.window_kernel_terms
+    monkeypatch.setattr(_engine, "window_kernel_terms",
+                        lambda fv, gt: shapes.append(gt.shape) or evaluate(fv, gt))
+    _engine.PhiTupleTask(edge)(2, _engine.stream_rng(1, 2, 0))
+    assert shapes == [(2, 4)]
+
+
 # ---------------------------------------------------------------------------
 # variance components
 # ---------------------------------------------------------------------------
@@ -170,7 +188,7 @@ def test_sigma2_value_and_method_agreement(model):
     # its middle mass gt_1 + gt_2 >= 2/(e-1) > 1
     tuples = model.sample_positions((10_000, 4), np.random.default_rng(13))
     fv, gt, k_max = _window_inputs("section7", tuples, 0)
-    assert k_max == 3 and len(list(_engine.window_kernel_terms(fv, gt, k_max))) <= 3
+    assert k_max == 3 and len(list(_engine.window_kernel_terms(fv, gt))) <= 3
     assert closed.total == pytest.approx(closed.sigma1_sq + closed.sigma2_sq.point, rel=1e-12)
     # reference value of the selection-noise component, by quadrature
     assert closed.sigma2_sq.point == pytest.approx(0.07930644853977625,
@@ -211,7 +229,7 @@ def test_window_kernel_terms_against_numeric(rng):
     xs = rng.random((2, 6))
     fv = np.exp(xs)
     gt = np.exp(xs) / (E - 1.0)
-    terms = list(window_kernel_terms(fv, gt, 3))
+    terms = list(window_kernel_terms(fv, gt))
     # window 3 is dead (gt_1 + gt_2 >= 2/(e-1) > 1), so the walk stops before it
     assert [t.shape for t in terms] == [(2, 6), (2, 5), (2, 4)]
     for k in range(4):
@@ -221,7 +239,7 @@ def test_window_kernel_terms_against_numeric(rng):
                 expected = fv[r, i] * fv[r, i + k] * beta_window_u_integral_numeric(k, gt[r, i:i + k + 1])
                 assert term[r, i] == pytest.approx(expected, abs=1e-9)
     zero = np.zeros_like(fv)
-    assert all(np.all(t == 0.0) for t in window_kernel_terms(zero, gt, 3))
+    assert all(np.all(t == 0.0) for t in window_kernel_terms(zero, gt))
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +256,12 @@ def _same_bits(a, b):
     return a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
-def _last_live_k(gt, k_max):
-    """Largest k <= k_max with some window's middle mass below 1, per row."""
+def _last_live_k(gt):
+    """Largest k with some window's middle mass below 1, per row."""
     n = gt.shape[1]
     cum = np.cumsum(gt, axis=1)
     last = np.zeros(len(gt), dtype=int)
-    for k in range(1, k_max + 1):
+    for k in range(1, n):
         live = (cum[:, k - 1:n - 1] - cum[:, :n - k] < 1.0).any(axis=1)
         last[live] = k
     return last
@@ -276,7 +294,8 @@ def test_cube_gap_matches_unmasked_product():
             assert _same_bits(_cube_gap(big), np.zeros_like(big))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(cube_gap_unmasked(np.array([1e300]))).all()
-    # 0-d inputs keep the public integrals' Python floats and their bits
+    # 0-d inputs take the same array path; the public integrals still
+    # return Python floats, with the bits of the plain product here
     y = np.asarray(0.5)
     assert type(beta0_u_integral(0.5)) is float
     assert beta0_u_integral(0.5) == float((1.0 - cube_gap_unmasked(y)) / 3.0)
@@ -285,6 +304,15 @@ def test_cube_gap_matches_unmasked_product():
                  - cube_gap_unmasked(y0 + mid) + cube_gap_unmasked(y0 + mid + yk)) / 3.0
     assert type(beta_pair_u_integral(0.2, 0.3, 0.4)) is float
     assert beta_pair_u_integral(0.2, 0.3, 0.4) == float(old_pair)
+
+
+def test_u_integrals_have_the_same_bits_one_argument_at_a_time():
+    """A 0-d argument takes the array path of the cube gap, so evaluating
+    node by node gives the bits of one evaluation on the array."""
+    y0, mid, yk = np.random.default_rng(4).uniform(0.0, 1.5, (3, 2000))
+    assert _same_bits(np.array([beta0_u_integral(v) for v in y0]), beta0_u_integral(y0))
+    one_by_one = [beta_pair_u_integral(a, b, c) for a, b, c in zip(y0, mid, yk)]
+    assert _same_bits(np.array(one_by_one), beta_pair_u_integral(y0, mid, yk))
 
 
 def _window_inputs(ref, x, step):
@@ -301,17 +329,17 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
     x1, _ = _engine._advance(model, (6, 300), 1, _engine.stream_rng(1, 3, 0))
     fv_s, gt_s, k_s = _window_inputs(SLOPED, np.random.default_rng(3).random((12, 9)), 0)
     # the stop differs between the sloped rows; only k <= 1 is live once every gt >= 1
-    assert len(set(_last_live_k(gt_s, k_s))) > 1
-    assert _last_live_k(1.0 + gt_s, k_s).max() == 1
+    assert len(set(_last_live_k(gt_s))) > 1
+    assert _last_live_k(1.0 + gt_s).max() == 1
     cases = {
         "section7 step 1": _window_inputs("section7", x1, 1),
         "sloped tuples": (fv_s, gt_s, k_s),
         "only k <= 1 live": (fv_s, 1.0 + gt_s, k_s),
     }
     for name, (fv, gt, k_max) in cases.items():
-        last = _last_live_k(gt, k_max)
+        last = _last_live_k(gt)
         pair_calls.clear()
-        terms = list(_engine.window_kernel_terms(fv, gt, k_max))
+        terms = list(_engine.window_kernel_terms(fv, gt))
         dense = window_kernel_terms_dense(fv, gt, k_max)
         assert len(terms) == last.max() + 1, name
         for k, (term, ref) in enumerate(zip(terms, dense)):
@@ -319,7 +347,7 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
         assert all(np.all(ref == 0.0) for ref in dense[len(terms):]), name
         n = gt.shape[1]
         assert pair_calls == [n - k for k in range(1, last.max() + 1)], name
-        assert last.max() < k_max, name  # the stop is exercised
+        assert last.max() < k_max, name  # the walk stops before the declared bound
 
 
 def test_sigma2_sq_is_batch_invariant(monkeypatch, pair_calls):
@@ -337,6 +365,39 @@ def test_sigma2_sq_is_batch_invariant(monkeypatch, pair_calls):
     rep = sigma2_sq(SLOPED, n, seed=seed)
     (samples,) = _engine.run_stream(task, n, seed, stream=2)
     assert rep.sigma2_sq == mean_estimate(samples)
+
+
+# the sloped and the ratio-30 tables of tools/report_digests.py
+DIGEST_TABLES = (
+    {"initial": {"law": "uniform", "lo": 0.0, "hi": 1.5},
+     "kernel": {"kind": "uniform_shift", "lo": -0.25, "hi": 0.75},
+     "g": {"form": "exp", "scale": 0.5, "rate": 1.5},
+     "f": {"form": "poly", "coeffs": [0.2, 1.0, -0.3]}},
+    {"g": {"form": "exp", "rate": 3.4}, "f": {"form": "poly", "coeffs": [0.2, 1.0, -0.3]}},
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_declared_window_bounds_the_walk(model, seed):
+    """The window walk, which has no cap, never yields a k above
+    correlation_window(0, ratio): on section7 populations at steps 0-2, on
+    step-0 draws of the digest tables, and on profiles of g in [lo, hi]."""
+    for step in range(3):
+        x, _ = _engine._advance(model, (8, 500), step, _engine.stream_rng(seed, 5, step))
+        fv, gt, declared = _window_inputs("section7", x, step)
+        assert len(list(_engine.window_kernel_terms(fv, gt))) <= declared + 1, step
+    rng = np.random.default_rng(seed)
+    for ref in DIGEST_TABLES:
+        declared = correlation_window(0, build_model(ref).potential(0).ratio())
+        # rows three tuples long, so that the row length does not stop the walk
+        x = build_model(ref).sample_positions((256, 3 * (declared + 1)), rng)
+        fv, gt, _ = _window_inputs(ref, x, 0)
+        assert len(list(_engine.window_kernel_terms(fv, gt))) <= declared + 1, ref
+    for lo, hi in ((1.0, E), (0.5, 15.0), (1.0, 30.0)):
+        for m in (50, 2000):
+            prof = weight_profile(rng.uniform(lo, hi, m))
+            last = max((k for k, _ in live_windows(prof.cum)), default=0)
+            assert last <= correlation_window(0, hi / lo), (lo, hi, m)
 
 
 def test_recursive_variance_step():
