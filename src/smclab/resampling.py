@@ -199,6 +199,15 @@ def selection_coefficients(profile: WeightProfile) -> SelectionCoefficients:
     return SelectionCoefficients(matrix=mat)
 
 
+def _f_array(size: int, f_values) -> np.ndarray:
+    """f_values as a float array of one value per particle."""
+    f = np.asarray(f_values, dtype=float)
+    if f.shape != (size,):
+        raise InvalidArgument(
+            f"f_values must hold one value per particle: {size}, got shape {f.shape}")
+    return f
+
+
 def live_windows(cum):
     """Yield (k, mid) for k = 1, 2, ... while some window of size k is live.
 
@@ -233,10 +242,8 @@ def conditional_variance_exact(profile: WeightProfile, f_values) -> float:
     every middle mass reaches 1, where beta1 vanishes; this bounds k by
     ceil(max weight ratio) and by M - 1.
     """
-    f = np.asarray(f_values, dtype=float)
     m = profile.size
-    if len(f) != m:
-        raise InvalidArgument("f_values length must match the profile size")
+    f = _f_array(m, f_values)
     w, cum, u = profile.w, profile.cum, profile.u
     total = float(np.sum(f**2 * beta0(u[:m], w)))
     for k, mid in live_windows(cum):
@@ -248,7 +255,7 @@ def conditional_variance_exact(profile: WeightProfile, f_values) -> float:
 def conditional_variance_oracle(coeffs: SelectionCoefficients, f_values) -> float:
     """Same conditional variance computed straight from the q-matrix:
     (1/M) sum_m [ E(f^2(Y_m)|.) - E(f(Y_m)|.)^2 ]."""
-    f = np.asarray(f_values, dtype=float)
+    f = _f_array(coeffs.size, f_values)
     m1 = coeffs.matrix @ f
     m2 = coeffs.matrix @ (f**2)
     return float(np.mean(m2 - m1**2))
@@ -260,7 +267,7 @@ def conditional_variance_oracle(coeffs: SelectionCoefficients, f_values) -> floa
 
 def multinomial_conditional_variance(profile: WeightProfile, f_values) -> float:
     """M i.i.d. categorical draws: the variance of one draw."""
-    f = np.asarray(f_values, dtype=float)
+    f = _f_array(profile.size, f_values)
     p = profile.w / profile.size
     mean = float(np.dot(p, f))
     return float(np.dot(p, f**2) - mean**2)
@@ -269,8 +276,8 @@ def multinomial_conditional_variance(profile: WeightProfile, f_values) -> float:
 def residual_conditional_variance(profile: WeightProfile, f_values) -> float:
     """Deterministic copies carry no noise; the remainder is multinomial
     over the fractional parts."""
-    f = np.asarray(f_values, dtype=float)
     m = profile.size
+    f = _f_array(m, f_values)
     resid = profile.w - np.floor(profile.w)
     n_res = m - int(np.floor(profile.w).sum())
     if n_res == 0:
@@ -282,25 +289,25 @@ def residual_conditional_variance(profile: WeightProfile, f_values) -> float:
 
 
 def systematic_conditional_variance(profile: WeightProfile, f_values) -> float:
-    """Exact integral over the single shared uniform.
+    """Exact integral over the single shared uniform, in O(M log M).
 
-    The map U -> ancestor vector is piecewise constant with breakpoints at
-    1 - u_i, so the conditional variance is a finite sum of interval
-    contributions.
+    S(U) = M^{-1/2} sum_m f(Y_m) is piecewise constant in U.  Its breaks
+    are U = 1 - u_l for l = 1..M-1 with u_l > 0: there the point of stratum
+    mu_l crosses S_l, and that stratum's ancestor moves from l+1 down to l,
+    so S jumps by (f_l - f_{l+1}) / sqrt(M).  The crossings within one
+    stratum come in decreasing order of l, so each is a step by one index.
+    Sorting the breaks and summing the jumps gives S up to a constant, which
+    the centred variance does not see: no starting ancestor sum and no
+    search.  Tied breaks leave zero-width cells, which add exactly 0, and a
+    fractional part snapped to 0 gives no break.
     """
-    f = np.asarray(f_values, dtype=float)
     m = profile.size
-    breaks = np.unique(1.0 - profile.u[(profile.u > 0.0)])
-    edges = np.concatenate([[0.0], breaks[(breaks > 0.0) & (breaks < 1.0)], [1.0]])
-    strata = np.arange(1, m + 1, dtype=float)
-    mean = 0.0
-    second = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        mid = 0.5 * (a + b)
-        anc = ancestors(profile.cum, strata - mid)
-        s = float(f[anc].sum()) / np.sqrt(m)
-        mean += s * (b - a)
-        second += s * s * (b - a)
-    return second - mean**2
+    f = _f_array(m, f_values)
+    frac = profile.u[1:m]
+    live = frac > 0.0
+    breaks = 1.0 - frac[live]
+    order = np.argsort(breaks, kind="stable")
+    width = np.diff(np.concatenate([[0.0], breaks[order], [1.0]]))
+    t = np.concatenate([[0.0], np.cumsum((f[:-1] - f[1:])[live][order])])
+    t -= np.dot(width, t)
+    return float(np.dot(width, t * t)) / m

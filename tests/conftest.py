@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from smclab import (
 from smclab._engine import window_kernel_terms
 from smclab._numerics import gauss_legendre
 from smclab.experiments import CSV_COLUMNS, ReportRow
+from smclab.resampling import ancestors
 from smclab.variance import _reference_g_mean
 
 # Property tests draw the same examples on every run and keep no example
@@ -94,6 +96,34 @@ def ancestors_merge_walk(cum, points):
             j += 1
         anc[i] = j
     return anc
+
+
+def systematic_variance_by_intervals(profile, f_values):
+    """Systematic conditional variance one interval of the shared uniform at
+    a time: an independent route for
+    ``smclab.systematic_conditional_variance``.
+
+    The breaks 1 - u_i cut [0, 1] into intervals; each interval's ancestors
+    come from ``ancestors`` at its midpoint, and the centred variance of the
+    resulting step function is summed in exact rationals, so the one
+    rounding is the final conversion to float.
+    """
+    m = profile.size
+    f = [Fraction(v) for v in np.asarray(f_values, dtype=float).tolist()]
+    # every float is an integer over a power of two: over the largest
+    # denominator each interval's sum of f is an exact integer sum
+    den = max(q.denominator for q in f)
+    f_int = [int(q * den) for q in f]
+    breaks = np.unique(1.0 - profile.u[profile.u > 0.0])
+    edges = np.concatenate([[0.0], breaks[(breaks > 0.0) & (breaks < 1.0)], [1.0]])
+    strata = np.arange(1, m + 1, dtype=float)
+    widths, sums = [], []
+    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        anc = ancestors(profile.cum, strata - 0.5 * (a + b))
+        widths.append(Fraction(b) - Fraction(a))
+        sums.append(Fraction(sum(f_int[i] for i in anc.tolist()), den))
+    mean = sum(w * s for w, s in zip(widths, sums))
+    return float(sum(w * (s - mean) ** 2 for w, s in zip(widths, sums)) / m)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from conftest import (
     max_row_nnz,
     random_profile,
     selection_coefficients_loop,
+    systematic_variance_by_intervals,
 )
 
 E = math.e
@@ -322,10 +323,14 @@ def test_conditional_mean_agrees_with_coefficients(rng):
 
 
 def test_conditional_variance_equal_weights_is_zero(rng):
-    prof = weight_profile(np.full(8, 1.0))
-    fv = rng.uniform(-3.0, 3.0, 8)
-    assert conditional_variance_exact(prof, fv) == 0.0
-    assert conditional_variance_oracle(selection_coefficients(prof), fv) == 0.0
+    """Equal weights, and so a single particle, select without noise; the
+    systematic variance then has no break and is exactly 0 too."""
+    for g in (np.full(8, 1.0), np.full(5, 3.7), [2.5]):
+        prof = weight_profile(g)
+        fv = rng.uniform(-3.0, 3.0, prof.size)
+        assert conditional_variance_exact(prof, fv) == 0.0
+        assert conditional_variance_oracle(selection_coefficients(prof), fv) == 0.0
+        assert systematic_conditional_variance(prof, fv) == 0.0
 
 
 def test_conditional_variance_two_particle_value():
@@ -412,6 +417,42 @@ def test_systematic_variance_against_u_grid(rng):
         tv = np.abs(np.diff(fv)).sum() / math.sqrt(m)
         tol = 4.0 * tv**2 * (1.0 / n + SNAP_TOL) + 1e-12
         assert abs(s.var() - systematic_conditional_variance(prof, fv)) <= tol, m
+
+
+def test_systematic_variance_against_intervals(rng, model):
+    """The sort-and-cumsum route against the interval-by-interval route,
+    which searches each interval's ancestors at its midpoint and sums in
+    exact rationals: on g uniform on [1, e], on geomspace(1, 1e3) permuted
+    (ratio 1e3), on the lattice g in {0.5, 1, 2} (many tied fractional
+    parts, hence tied breaks) and on one section7 population."""
+    profiles = [random_profile(rng, 4, 50) for _ in range(30)]
+    profiles += [weight_profile(rng.permutation(np.geomspace(1.0, 1e3, m)))
+                 for m in (10, 30, 100)]
+    profiles += [weight_profile(rng.choice([0.5, 1.0, 2.0], int(rng.integers(4, 60))))
+                 for _ in range(30)]
+    cases = [(prof, rng.uniform(-2.0, 2.0, prof.size)) for prof in profiles]
+    x = model.sample_positions((2000,), np.random.default_rng([1, 2]))
+    cases.append((weight_profile(model.potential(0)(x)), model.f(x)))
+    for prof, fv in cases:
+        target = systematic_variance_by_intervals(prof, fv)
+        assert abs(systematic_conditional_variance(prof, fv) - target) <= 1e-12 * target, prof.size
+
+
+PROFILE_VARIANCES = {
+    "exact": conditional_variance_exact,
+    "oracle": lambda prof, fv: conditional_variance_oracle(selection_coefficients(prof), fv),
+    "multinomial": multinomial_conditional_variance,
+    "residual": residual_conditional_variance,
+    "systematic": systematic_conditional_variance,
+}
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("name", sorted(PROFILE_VARIANCES))
+def test_profile_variances_reject_f_of_the_wrong_length(name, length):
+    prof = weight_profile([1.0, 2.0, 3.0])
+    with pytest.raises(InvalidArgument):
+        PROFILE_VARIANCES[name](prof, np.arange(1.0, length + 1.0))
 
 
 def test_stratified_below_multinomial(rng):
