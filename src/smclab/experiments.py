@@ -429,15 +429,15 @@ def _clt(cfg: ExperimentConfig):
     return estimates, bool(passed)
 
 
-def _mc_resample_sums(kind, prof, fv, replicates, rng, block=4096):
+def _mc_resample_sums(kind, prof, fv, replicates, rng, block=128):
     """Per-replicate sums of f over resampled populations, ``block`` rows at a time."""
     out = np.empty(replicates)
     for done in range(0, replicates, block):
         nb = min(block, replicates - done)
-        # keeping a block's ancestors until the next block's are drawn stops
-        # the allocator from trimming and faulting in these pages every block
-        anc = resample(kind, prof, rng, rows=nb)
-        out[done:done + nb] = fv[anc].sum(axis=1)
+        # at M = 100 a 128-row block's arrays hold 100 KiB, below glibc's
+        # default 128 KiB mmap threshold: they come from the heap, so no
+        # block maps, unmaps and faults its pages in again
+        out[done:done + nb] = fv[resample(kind, prof, rng, rows=nb)].sum(axis=1)
     return out
 
 

@@ -22,11 +22,14 @@ from the conditional law and serves as an independent cross-check.
 Every scheme samples through :func:`resample`: stratified (the paper's
 scheme), systematic, multinomial and residual draw their query points and
 map them to ancestors with the one right-closed search :func:`ancestors`,
-which also serves the engine's row-wise selection.
+which also serves the engine's row-wise selection.  On a frozen profile it
+counts the running sums below each point through a guide table of the
+integer parts, with the tie rule of a left binary search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,9 +48,9 @@ class WeightProfile:
     """Normalized weights plus exact cumulative bookkeeping.
 
     w:   (M,) normalized weights, sum(w) = M
-    cum: (M,) running sums S_i computed with compensated summation;
-         cum[-1] is pinned to M exactly so the last stratum always finds
-         an ancestor.
+    cum: (M,) running sums S_i computed with compensated summation,
+         non-decreasing; cum[-1] is pinned to M exactly so the last stratum
+         always finds an ancestor.
     u:   (M+1,) fractional parts {S_i} with u[0] = 0 and u[M] = 0;
          values within SNAP_TOL of an integer are snapped to 0.
     mu:  (M+1,) integer offsets floor(S_i) + 1 with mu[0] = 1, mu[M] = M+1.
@@ -81,6 +84,9 @@ def weight_profile(g_values) -> WeightProfile:
         s = g / g.max()
         w = m * s / s.sum()
     cum = kahan_cumsum(w)
+    # rounding can leave the sums before a tail of tiny weights an ulp above
+    # M; clamped, the pin below keeps cum non-decreasing
+    np.minimum(cum, m, out=cum)
     cum[-1] = float(m)
 
     u = np.zeros(m + 1)
@@ -96,14 +102,33 @@ def weight_profile(g_values) -> WeightProfile:
 def ancestors(cum, points) -> np.ndarray:
     """Ancestor of each query point, right-closed: S_{l-1} < p <= S_l.
 
-    A 1-d ``cum`` is shared by every point.  A (rows, M) ``cum`` is searched
-    row by row against (rows, K) ``points``.  Each row is its own search:
-    shifting rows into disjoint ranges of one flat search would round a
-    point just above a running sum onto it and pick the lower ancestor.
+    The ancestor of p is the number of running sums below p, which is
+    ``np.searchsorted(cum, p, side="left")`` exactly, ties included.
+
+    A 1-d ``cum`` (non-decreasing) is shared by every point, which lies in
+    [0, cum[-1]], so it is searched through a guide table (Chen & Asau,
+    1974): ``lo[b]`` counts the sums below the integer b, a point p starts
+    at ``lo[floor(p)]``, and a branchless binary search adds the sums in
+    [floor(p), p).  ``width``, the most sums one unit bucket holds, sets its
+    ``width.bit_length()`` passes; the ``+inf`` padding past the last sum
+    keeps every probe in range and below no point.
+
+    A (rows, M) ``cum`` is searched row by row against (rows, K) ``points``.
+    Each row is its own search: shifting rows into disjoint ranges of one
+    flat search would round a point just above a running sum onto it and
+    pick the lower ancestor.
     """
-    if cum.ndim == 1:
-        return np.searchsorted(cum, points, side="left")
-    return np.stack([np.searchsorted(c, p, side="left") for c, p in zip(cum, points)])
+    if cum.ndim == 2:
+        return np.stack([np.searchsorted(c, p, side="left") for c, p in zip(cum, points)])
+    lo = np.searchsorted(cum, np.arange(math.ceil(cum[-1]) + 2), side="left")
+    width = int(np.diff(lo).max())
+    pad = np.concatenate([cum, np.full(width + 1, np.inf)])
+    anc = np.take(lo, points.astype(np.intp), mode="clip")
+    step = 1 << width.bit_length()
+    while step > 1:
+        step >>= 1
+        anc += step * (np.take(pad, anc + (step - 1)) < points)
+    return anc
 
 
 def resample(kind: str, profile: WeightProfile, rng: np.random.Generator,

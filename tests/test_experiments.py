@@ -18,6 +18,7 @@ from smclab import (
     beta_pair_u_integral,
     cli,
     experiments,
+    weight_profile,
 )
 from smclab._engine import BATCH_TARGET, run_stream
 from smclab.experiments import (
@@ -31,6 +32,7 @@ from smclab.experiments import (
     sigma2_sq,
     validate_config,
 )
+from smclab.resampling import SCHEMES
 
 from conftest import parse_report_csv
 
@@ -209,6 +211,19 @@ def test_worker_invariance(experiment, extra):
 # ---------------------------------------------------------------------------
 # individual runners (spot checks; statistical targets live in acceptance)
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_mc_resample_sums_do_not_depend_on_the_block(kind):
+    """Blocks of rows draw the one stream of single calls: every block size
+    gives the same sums, bit for bit."""
+    rng = np.random.default_rng(11)
+    prof = weight_profile(np.exp(3.0 * rng.random(40)))
+    fv = rng.normal(size=40)
+    sums = [experiments._mc_resample_sums(kind, prof, fv, 1000, np.random.default_rng(12), block)
+            for block in (1, 7, 1024, 4096)]
+    for other in sums[1:]:
+        assert np.array_equal(other, sums[0])
+
 
 def test_compare_resamplers_equal_weights():
     cfg = default_config("compare-resamplers", model=FLAT_MODEL, particles=64,

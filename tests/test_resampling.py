@@ -146,6 +146,50 @@ def potentials(draw, m):
     return g
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(1, 60).flatmap(potentials))
+def test_profile_running_sums_non_decreasing(g):
+    """Rounding before a tail of tiny weights may not lift a sum above the
+    pinned S_M = M."""
+    prof = weight_profile(g)
+    assert np.all(np.diff(prof.cum) >= 0.0)
+    assert prof.cum[-1] == len(g)
+
+
+def assert_guided_search_is_left_search(cum, rng):
+    """The frozen-profile ``ancestors`` equals a left binary search on
+    unsorted uniform points, stratified points, every running sum and both
+    its float neighbours, and the integers 0..M."""
+    m = len(cum)
+    for points in (
+        m * rng.random(4 * m),
+        np.arange(1, m + 1) - rng.random(m),
+        cum,
+        np.nextafter(cum, -np.inf),
+        np.nextafter(cum, np.inf),
+        np.arange(m + 1.0),
+    ):
+        points = np.clip(points, 0.0, m)
+        assert np.array_equal(ancestors(cum, points), np.searchsorted(cum, points, side="left"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(1, 60).flatmap(potentials), seed=st.integers(0, 2**32 - 1))
+def test_guided_search_matches_left_search(g, seed):
+    assert_guided_search_is_left_search(weight_profile(g).cum, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("order", ["iid", "sorted"])
+def test_guided_search_matches_left_search_on_wide_buckets(rng, order):
+    """Weight ratio 1e3 at M = 1e5.  Sorted by position, the smallest
+    weights come first and a unit bucket holds over 100 running sums."""
+    x = rng.random(100_000)
+    cum = weight_profile(np.exp(6.9 * (np.sort(x) if order == "sorted" else x))).cum
+    width = np.diff(np.searchsorted(cum, np.arange(100_002.0))).max()
+    assert width > (100 if order == "sorted" else 1)
+    assert_guided_search_is_left_search(cum, rng)
+
+
 @st.composite
 def potential_rows(draw):
     m = draw(st.integers(1, 24))
