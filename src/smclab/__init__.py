@@ -8,7 +8,7 @@ confidence intervals, and a reproducible config-driven experiment harness.
 
 from .errors import InvalidArgument, InvalidConfig, InvalidModel, SmclabError
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
-from .experiments import VarianceReport, recursive_variance_step, sigma2_sq
+from .experiments import recursive_variance_step, sigma2_sq
 from .filtering import FilterTrajectory, StepRecord, run_filter
 from .model import (
     KernelSpec,

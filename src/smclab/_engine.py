@@ -22,6 +22,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,9 +51,16 @@ def stream_rng(seed: int, stream: int, batch: int) -> np.random.Generator:
 
 
 def running_weights(g: np.ndarray) -> np.ndarray:
-    """Row-wise running sums S_i of w = M g / sum(g), with S_M pinned to M."""
-    cum = np.cumsum(g.shape[1] * g / g.sum(axis=1, keepdims=True), axis=1)
-    cum[:, -1] = g.shape[1]
+    """Row-wise running sums S_i of w = M g / sum(g), with S_M pinned to M.
+
+    Rounding can leave the sums before a tail of tiny weights an ulp above
+    M; clamped to M before the pin, every row stays non-decreasing, as
+    ``ancestors`` requires.
+    """
+    m = g.shape[1]
+    cum = np.cumsum(m * g / g.sum(axis=1, keepdims=True), axis=1)
+    np.minimum(cum, m, out=cum)
+    cum[:, -1] = m
     return cum
 
 
@@ -168,8 +176,9 @@ class PhiTupleTask:
     initial-law tuples, k = 0..K: one sample of the step-0 selection-noise
     variance of T (``transform`` as in SelectedSumTask)."""
 
+    # no particles: batch_rows(0) = BATCH_TARGET tuples per batch
+    particles: ClassVar[int] = 0
     model_ref: object
-    particles: int = 0  # no particles: batch_rows(0) = BATCH_TARGET tuples per batch
     transform: str = "f"
 
     def __call__(self, rows: int, rng: np.random.Generator):

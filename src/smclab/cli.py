@@ -8,7 +8,7 @@
 Flags override config-file values.  Exit code 0 when the experiment verdict
 passes (or a beta-table grid was written), 2 when it fails, 1 on error,
 including a malformed flag, a report or grid that cannot be written to
-``--out`` and a worker process that dies.
+``--out``, a worker process that dies and a task that runs out of memory.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (SmclabError, OSError) as exc:
+    except (SmclabError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,9 +19,9 @@ from .errors import InvalidArgument
 
 Z_95 = 1.96
 
-# distribution-free one-sample Kolmogorov-Smirnov critical values c(alpha):
-# reject when D_n > c(alpha) / sqrt(n)
-KS_CRITICAL = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
+# distribution-free one-sample Kolmogorov-Smirnov critical value at the 5%
+# level: reject when D_n > KS_CRITICAL / sqrt(n)
+KS_CRITICAL = 1.358
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,14 @@ def mean_estimate(samples) -> EstimateWithCI:
     return EstimateWithCI(point=point, lo=point - hw, hi=point + hw, n=len(x))
 
 
-def normality_check(samples, mu: float, sigma_sq: float, alpha: float = 0.05):
+def normality_check(samples, mu: float, sigma_sq: float):
     """One-sample Kolmogorov-Smirnov statistic against N(mu, sigma_sq).
 
-    Returns (statistic, passed) with passed = statistic < c(alpha)/sqrt(n).
+    Returns (statistic, passed) with passed = statistic <
+    KS_CRITICAL / sqrt(n): the test at the 5% level.
     """
     if sigma_sq <= 0.0:
         raise InvalidArgument("sigma_sq must be positive")
-    if alpha not in KS_CRITICAL:
-        raise InvalidArgument(f"unsupported alpha {alpha}; choose from {sorted(KS_CRITICAL)}")
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 100:
@@ -83,4 +82,4 @@ def normality_check(samples, mu: float, sigma_sq: float, alpha: float = 0.05):
     cdf = ndtr((x - mu) / np.sqrt(sigma_sq))
     grid = np.arange(1, n + 1) / n
     stat = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
-    return stat, stat < KS_CRITICAL[alpha] / np.sqrt(n)
+    return stat, stat < KS_CRITICAL / np.sqrt(n)

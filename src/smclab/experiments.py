@@ -33,8 +33,8 @@ compare-resamplers Monte Carlo conditional variances of all four schemes on
 beta-table         CSV grids of the variance kernels for plotting.
 
 The Monte Carlo side of the limit variance lives here too, on the engine's
-streams: :func:`sigma2_sq`, whose report ``variance-step0`` and ``clt``
-print as it stands, and :func:`recursive_variance_step`.
+streams: :func:`sigma2_sq`, whose estimate ``variance-step0`` and ``clt``
+print as it stands next to ``sigma1_sq``, and :func:`recursive_variance_step`.
 
 Model selection: ``"model": "section7"`` (the built-in row of the model
 table) or an inline model table, see :func:`smclab.model.build_model`.
@@ -62,7 +62,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -75,7 +75,6 @@ from ._engine import (
     WindowPhiSumTask,
     run_stream,
     stream_rng,
-    transform_function,
 )
 from .errors import InvalidArgument, InvalidConfig
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
@@ -263,10 +262,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidConfig(f"{cfg.experiment} needs the built-in model's step-1 transform")
 
 
-def overlap_verdict(a: EstimateWithCI, b: EstimateWithCI,
-                    factor: float = OVERLAP_FACTOR) -> bool:
-    """|point difference| < factor * (sum of CI half-widths)."""
-    return abs(a.point - b.point) < factor * (a.half_width + b.half_width)
+def overlap_verdict(a: EstimateWithCI, b: EstimateWithCI) -> bool:
+    """|point difference| < OVERLAP_FACTOR * (sum of CI half-widths)."""
+    return abs(a.point - b.point) < OVERLAP_FACTOR * (a.half_width + b.half_width)
 
 
 def _value(value: float, n: int = 1) -> EstimateWithCI:
@@ -283,37 +281,24 @@ def _shift(est: EstimateWithCI, offset: float, scale: float = 1.0) -> EstimateWi
 # limit variance: the Monte Carlo components, on the engine's streams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarianceReport:
-    """Asymptotic variance split: deterministic first component, Monte Carlo
-    second component."""
-
-    sigma1_sq: float
-    sigma2_sq: EstimateWithCI
-
-    @property
-    def total(self) -> float:
-        return self.sigma1_sq + self.sigma2_sq.point
-
-
 def sigma2_sq(ref, n_samples: int, seed: int = 0, workers: int = 1,
-              transform: str = "f") -> VarianceReport:
+              transform: str = "f") -> EstimateWithCI:
     """Stratified selection-noise variance at step 0, by Monte Carlo.
 
     Averages sum_{k=0}^{K} T(X_1) T(X_{k+1}) int_0^1 beta_window(k, u, gt) du
     over ``n_samples`` i.i.d. initial-law tuples drawn on stream 2 of
     ``seed``, with K = correlation_window(0, upper/lower) of the step-0
     potential, gt = g / E g and T the model's f (or, for the built-in model
-    only, P f_1 with ``transform='pf1'``).  ``ref`` is the model's
-    reference, ``"section7"`` or a table; the engine's tasks build the model
-    from it.
+    only, P f_1 with ``transform='pf1'``), and returns the mean with its
+    95% interval.  ``ref`` is the model's reference, ``"section7"`` or a
+    table; the engine's tasks build the model from it.  The limit variance
+    is ``sigma1_sq(ref) + sigma2_sq(ref, ...).point``.
     """
     if n_samples < 1:
         raise InvalidArgument("n_samples must be >= 1")
-    f = transform_function(ref, transform)
     (samples,) = run_stream(PhiTupleTask(ref, transform=transform), n_samples, seed,
                             stream=2, workers=workers)
-    return VarianceReport(sigma1_sq=sigma1_sq(ref, f), sigma2_sq=mean_estimate(samples))
+    return mean_estimate(samples)
 
 
 def recursive_variance_step(v_prev: float, ref, step: int,
@@ -379,11 +364,12 @@ def _variance_step0(cfg: ExperimentConfig):
     weighted-mean term vs. the window-kernel expectation."""
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
-    limit = sigma2_sq(cfg.model, cfg.replicates2, cfg.seed, cfg.workers)
-    excess = _shift(variance_estimate(t_vals), -limit.sigma1_sq)
-    estimates = {"selection_variance_excess": excess, "window_kernel_mean": limit.sigma2_sq,
-                 "sigma1_sq": _value(limit.sigma1_sq)}
-    return estimates, overlap_verdict(excess, limit.sigma2_sq)
+    s2 = sigma2_sq(cfg.model, cfg.replicates2, cfg.seed, cfg.workers)
+    s1 = sigma1_sq(cfg.model)
+    excess = _shift(variance_estimate(t_vals), -s1)
+    estimates = {"selection_variance_excess": excess, "window_kernel_mean": s2,
+                 "sigma1_sq": _value(s1)}
+    return estimates, overlap_verdict(excess, s2)
 
 
 def _variance_step1(cfg: ExperimentConfig):
@@ -420,12 +406,13 @@ def _clt(cfg: ExperimentConfig):
     predicted limit N(0, sigma1_sq + sigma2_sq)."""
     t_vals, = run_stream(SelectedSumTask(cfg.model, cfg.particles, step=1, transform="f"),
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
-    limit = sigma2_sq(cfg.model, cfg.replicates2, cfg.seed, cfg.workers)
+    s2 = sigma2_sq(cfg.model, cfg.replicates2, cfg.seed, cfg.workers)
+    total = sigma1_sq(cfg.model) + s2.point
     samples = t_vals - math.sqrt(cfg.particles) * selected_mean(cfg.model)
-    stat, passed = normality_check(samples, 0.0, limit.total, alpha=0.05)
+    stat, passed = normality_check(samples, 0.0, total)
     estimates = {"ks_statistic": _value(stat, n=cfg.replicates),
-                 "sigma_total": _value(limit.total, n=cfg.replicates2),
-                 "sigma2_sq": limit.sigma2_sq}
+                 "sigma_total": _value(total, n=cfg.replicates2),
+                 "sigma2_sq": s2}
     return estimates, bool(passed)
 
 
@@ -568,13 +555,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "seed": report.config.seed,
         "particles": report.config.particles,
         "verdict": report.verdict,
-        "rows": [
-            {
-                "quantity": r.quantity, "estimate": r.estimate,
-                "ci_lo": r.ci_lo, "ci_hi": r.ci_hi, "n_samples": r.n_samples,
-                "particles": r.particles, "seed": r.seed, "wall_time_s": r.wall_time_s,
-            }
-            for r in report.rows
-        ],
+        "rows": [{k: v for k, v in asdict(r).items() if k != "experiment"}
+                 for r in report.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -27,18 +27,14 @@ from .variance import min_particles
 class StepRecord:
     """One generation: selected and mutated positions."""
 
-    step: int
     selected: np.ndarray
     mutated: np.ndarray
 
 
 @dataclass
 class FilterTrajectory:
-    """Per-step records of a filter run plus its rng lineage metadata."""
+    """Per-step records of a filter run."""
 
-    model: ModelConfig
-    particles: int
-    seed: int
     records: dict[int, StepRecord] = field(default_factory=dict)
 
     def record(self, step: int) -> StepRecord:
@@ -46,19 +42,16 @@ class FilterTrajectory:
             raise InvalidArgument(f"step {step} not stored (available: {sorted(self.records)})")
         return self.records[step]
 
-    @property
-    def last_step(self) -> int:
-        return max(self.records)
-
 
 def run_filter(model: ModelConfig, particles: int, steps: int, seed: int) -> FilterTrajectory:
     """Run ``steps`` selection/mutation rounds from a fresh population.
 
-    The trajectory after the call holds records for steps 0..steps; record
-    n carries Y_n (selected) and X_n (mutated).  Identical (model,
-    particles, steps, seed) give bit-identical trajectories.  In debug mode
-    (``python`` without ``-O``) every mutated population is checked against
-    the declared bounds of the step's potential and of the test function.
+    The trajectory holds records for steps 0..steps, read with
+    ``record(n)``: record n carries Y_n (selected) and X_n (mutated).
+    Identical (model, particles, steps, seed) give bit-identical
+    trajectories.  In debug mode (``python`` without ``-O``) every mutated
+    population is checked against the declared bounds of the step's
+    potential and of the test function.
     """
     if particles < 1:
         raise InvalidArgument("particle count must be >= 1")
@@ -72,12 +65,12 @@ def run_filter(model: ModelConfig, particles: int, steps: int, seed: int) -> Fil
             stacklevel=2,
         )
 
-    traj = FilterTrajectory(model=model, particles=particles, seed=seed)
+    traj = FilterTrajectory()
     gens = populations(model, (1, particles), steps, stream_rng(seed, 0, 0))
     for n, (y, x) in enumerate(gens):
         if __debug__:
             model.potential(n)(x)  # asserts the declared potential bounds
             fv = np.asarray(model.f(x), dtype=float)
             assert np.all(np.abs(fv) <= model.f_bound(n) + _BOUND_TOL), "test function exceeds declared bound"
-        traj.records[n] = StepRecord(step=n, selected=y[0], mutated=x[0])
+        traj.records[n] = StepRecord(selected=y[0], mutated=x[0])
     return traj

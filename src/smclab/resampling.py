@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from ._numerics import SNAP_TOL, kahan_cumsum, snapped_frac
+from ._numerics import kahan_cumsum, snapped_frac
 from .errors import InvalidArgument, InvalidModel
 from .variance import beta0, beta1
 
@@ -53,7 +53,8 @@ class WeightProfile:
          always finds an ancestor.
     u:   (M+1,) fractional parts {S_i} with u[0] = 0 and u[M] = 0;
          values within SNAP_TOL of an integer are snapped to 0.
-    mu:  (M+1,) integer offsets floor(S_i) + 1 with mu[0] = 1, mu[M] = M+1.
+    mu:  (M+1,) integer offsets S_i - u_i + 1, which is floor(S_i) + 1
+         unless S_i snapped up to the next integer; mu[0] = 1, mu[M] = M+1.
 
     Indexing follows the 1-based convention of the running sums: u[i] and
     mu[i] belong to S_i = cum[i-1].
@@ -70,7 +71,12 @@ class WeightProfile:
 
 
 def weight_profile(g_values) -> WeightProfile:
-    """Build the exact weight bookkeeping from positive potential values."""
+    """Build the exact weight bookkeeping from positive potential values.
+
+    The running sums are compensated and pinned to S_M = M; ``u`` is their
+    snapped fractional parts and ``mu`` follows from ``u``, so the two
+    always agree on which sums sit on an integer.
+    """
     g = np.asarray(g_values, dtype=float)
     if g.ndim != 1 or len(g) < 1:
         raise InvalidArgument("potential values must be a non-empty 1-d array")
@@ -90,12 +96,11 @@ def weight_profile(g_values) -> WeightProfile:
     cum[-1] = float(m)
 
     u = np.zeros(m + 1)
-    mu = np.ones(m + 1, dtype=np.int64)
-    fl = np.floor(cum)
     u[1:] = snapped_frac(cum)
-    mu[1:] = np.where(cum - fl > 1.0 - SNAP_TOL, fl + 2.0, fl + 1.0).astype(np.int64)
-    u[m] = 0.0
-    mu[m] = m + 1
+    # S_i - u_i is floor(S_i), or lies within SNAP_TOL of an integer where
+    # u_i was snapped to 0: rint gives the integer the snap implies
+    mu = np.ones(m + 1, dtype=np.int64)
+    mu[1:] = np.rint(cum - u[1:]).astype(np.int64) + 1
     return WeightProfile(w=w, cum=cum, u=u, mu=mu)
 
 
@@ -225,12 +230,17 @@ def selection_coefficients(profile: WeightProfile) -> SelectionCoefficients:
 
 
 def _f_array(size: int, f_values) -> np.ndarray:
-    """f_values as a float array of one value per particle."""
+    """f_values as a float array of one value per particle, centred.
+
+    A constant added to f leaves every conditional variance unchanged, but
+    a large one cancels digits in the sums of f^2 and f_i f_j; so every
+    variance of a profile sees f minus its plain mean.
+    """
     f = np.asarray(f_values, dtype=float)
     if f.shape != (size,):
         raise InvalidArgument(
             f"f_values must hold one value per particle: {size}, got shape {f.shape}")
-    return f
+    return f - f.mean()
 
 
 def live_windows(cum):

@@ -195,7 +195,7 @@ def test_criterion_08_normal_limit(step0_report):
     (sums,) = run_stream(SelectedSumTask("section7", m, step=1, transform="f"),
                          10_000, seed=20248, stream=1, workers=WORKERS)
     center = math.sqrt(m) * section7_constants(0)["selected_f_mean"]
-    stat, passed = normality_check(sums - center, 0.0, sigma1 + sigma2, alpha=0.05)
+    stat, passed = normality_check(sums - center, 0.0, sigma1 + sigma2)
     _criterion(8, "normal limit (KS)",
                bool(passed),
                f"D = {stat:.5f} vs threshold {1.358 / math.sqrt(10_000):.5f}, "

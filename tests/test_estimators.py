@@ -85,8 +85,6 @@ def test_normality_check_errors(rng):
         normality_check(rng.normal(size=500), 0.0, 0.0)
     with pytest.raises(InvalidArgument):
         normality_check(rng.normal(size=50), 0.0, 1.0)
-    with pytest.raises(InvalidArgument):
-        normality_check(rng.normal(size=500), 0.0, 1.0, alpha=0.33)
 
 
 def test_ks_statistic_against_scipy(rng):

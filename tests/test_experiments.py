@@ -18,6 +18,7 @@ from smclab import (
     beta_pair_u_integral,
     cli,
     experiments,
+    sigma1_sq,
     weight_profile,
 )
 from smclab._engine import BATCH_TARGET, run_stream
@@ -246,17 +247,18 @@ def test_clt_runner_small(model):
 
 
 def test_runners_report_the_one_sigma2_route(model):
-    """variance-step0 and clt report sigma2_sq's own estimate, bit for bit."""
-    limit = sigma2_sq("section7", 300, seed=4)
+    """variance-step0 and clt report sigma2_sq's own estimate, bit for bit,
+    and sigma1_sq's value."""
+    s2 = sigma2_sq("section7", 300, seed=4)
+    s1 = sigma1_sq("section7")
     step0 = run_experiment(default_config("variance-step0", particles=300, replicates=400,
                                           replicates2=300, seed=4, timing=False))
     clt = run_experiment(default_config("clt", particles=300, replicates=400,
                                         replicates2=300, seed=4, timing=False))
-    s2 = limit.sigma2_sq
     for row in (step0.row("window_kernel_mean"), clt.row("sigma2_sq")):
         assert (row.estimate, row.ci_lo, row.ci_hi, row.n_samples) == (s2.point, s2.lo, s2.hi, s2.n)
-    assert step0.row("sigma1_sq").estimate == limit.sigma1_sq
-    assert clt.row("sigma_total").estimate == limit.total
+    assert step0.row("sigma1_sq").estimate == s1
+    assert clt.row("sigma_total").estimate == s1 + s2.point
 
 
 def test_model_name_does_not_select_the_builtin_closed_forms():
@@ -338,6 +340,18 @@ def test_dead_worker_is_an_error(monkeypatch, capsys):
     assert cli.main(["conjecture2", "--particles", "400", "--replicates", "100"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process") and "Traceback" not in err
+
+
+def test_out_of_memory_is_an_error(monkeypatch, capsys):
+    """A task that runs out of memory ends the command line with exit 1 and
+    an error line, not a traceback."""
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    assert cli.main(["clt", "--particles", "300", "--replicates", "200"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
 
 def test_cli_end_to_end(tmp_path):

@@ -24,7 +24,7 @@ def test_zero_steps_is_initial_population(model):
     traj = run_filter(model, 50, 0, seed=1)
     rec = traj.record(0)
     assert np.array_equal(rec.selected, rec.mutated)
-    assert traj.last_step == 0
+    assert list(traj.records) == [0]
 
 
 def test_bit_reproducible(model):

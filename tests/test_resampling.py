@@ -150,10 +150,21 @@ def potentials(draw, m):
 @given(g=st.integers(1, 60).flatmap(potentials))
 def test_profile_running_sums_non_decreasing(g):
     """Rounding before a tail of tiny weights may not lift a sum above the
-    pinned S_M = M."""
+    pinned S_M = M; mu, derived from the snapped fractional parts, equals
+    the rule on the sums themselves (an offset more where S_i lies within
+    SNAP_TOL below an integer) and ends at u_M = 0, mu_M = M + 1.  The
+    engine's plain running sums never decrease either."""
     prof = weight_profile(g)
-    assert np.all(np.diff(prof.cum) >= 0.0)
-    assert prof.cum[-1] == len(g)
+    m = len(g)
+    for cum in (prof.cum, running_weights(g[None, :])[0]):
+        assert np.all(np.diff(cum) >= 0.0)
+        assert cum[-1] == m
+    fl = np.floor(prof.cum)
+    mu = np.ones(m + 1, dtype=np.int64)
+    mu[1:] = np.where(prof.cum - fl > 1.0 - SNAP_TOL, fl + 2.0, fl + 1.0)
+    mu[m] = m + 1
+    assert np.array_equal(prof.mu, mu)
+    assert prof.u[m] == 0.0 and prof.mu[m] == m + 1
 
 
 def assert_guided_search_is_left_search(cum, rng):
@@ -489,6 +500,21 @@ PROFILE_VARIANCES = {
     "residual": residual_conditional_variance,
     "systematic": systematic_conditional_variance,
 }
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_profile_variances_ignore_a_large_mean_of_f(model, seed, c):
+    """A constant added to f leaves every conditional variance unchanged.
+    With f + c rounded to fs, the reference is the same routine on fs - c,
+    which the float subtraction gives exactly and which has no large mean
+    to cancel."""
+    x = model.sample_positions((2000,), np.random.default_rng([1, seed]))
+    prof = weight_profile(model.potential(0)(x))
+    fs = model.f(x) + c
+    for name, variance in PROFILE_VARIANCES.items():
+        ref = variance(prof, fs - c)
+        assert variance(prof, fs) == pytest.approx(ref, rel=1e-12), name
 
 
 @pytest.mark.parametrize("length", [2, 4])

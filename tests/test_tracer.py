@@ -9,7 +9,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_tracer_installs(tmp_path):
-    """Install the tracer, then fire its count hooks and experiment patches."""
+    """Install the tracer, then fire its count hooks and experiment patches,
+    those of a tiny ``clt`` among them."""
     script = (
         "import sys\n"
         f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, {os.path.join(ROOT, 'perfbench')!r}]\n"
@@ -21,6 +22,8 @@ def test_tracer_installs(tmp_path):
         "resampling.selection_coefficients(resampling.weight_profile([1.0, 2.0, 3.0]))\n"
         "run_experiment(default_config('compare-resamplers', particles=20, replicates=200,\n"
         "                              timing=False))\n"
+        "run_experiment(default_config('clt', particles=300, replicates=200,\n"
+        "                              replicates2=200, timing=False))\n"
         "spans, counts = t.collect()\n"
         "print(sorted({s[1] for s in spans}))\n"
         "print(counts['resampling.selection_coefficients.nnz'])\n"
@@ -30,7 +33,8 @@ def test_tracer_installs(tmp_path):
     names, nnz = proc.stdout.splitlines()
     for name in ("resampling.selection_coefficients", "resampling.weight_profile",
                  "experiments._mc_resample_sums", "estimators.variance_estimate",
-                 "resampling.conditional_variance_exact"):
+                 "resampling.conditional_variance_exact", "variance.sigma1_sq",
+                 "estimators.normality_check", "engine.task.PhiTupleTask"):
         assert repr(name) in names, name
     assert int(nnz) > 0
 

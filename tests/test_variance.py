@@ -14,6 +14,7 @@ from smclab import (
     conditional_variance_exact,
     correlation_window,
     recursive_variance_step,
+    section7_pf1,
     sigma1_sq,
     sigma2_sq,
     weight_profile,
@@ -165,9 +166,8 @@ def test_variance_components_follow_the_reference():
     reference, so a model changed after building cannot pass for another."""
     base = {"name": "exp-f", "g": {"form": "exp"}, "f": {"form": "exp"}}
     doubled = {**base, "f": {"form": "exp", "scale": 2.0}}
-    one, two = sigma2_sq(base, 2000, seed=1), sigma2_sq(doubled, 2000, seed=1)
-    assert two.sigma2_sq.point == 4.0 * one.sigma2_sq.point
-    assert two.sigma1_sq == 4.0 * one.sigma1_sq
+    assert sigma2_sq(doubled, 2000, seed=1).point == 4.0 * sigma2_sq(base, 2000, seed=1).point
+    assert sigma1_sq(doubled) == 4.0 * sigma1_sq(base)
     with pytest.raises(InvalidModel, match="unknown model reference"):
         sigma2_sq(build_model("section7"), 100, seed=1)
     with pytest.raises(InvalidModel, match="unknown model reference"):
@@ -176,9 +176,9 @@ def test_variance_components_follow_the_reference():
 
 def test_sigma2_zero_function():
     zero_f = {"name": "zero-f", "g": {"form": "exp"}, "f": {"form": "poly", "coeffs": [0.0]}}
-    rep = sigma2_sq(zero_f, 500, seed=3)
-    assert rep.sigma2_sq.point == 0.0
-    assert rep.sigma2_sq.half_width == 0.0
+    est = sigma2_sq(zero_f, 500, seed=3)
+    assert est.point == 0.0
+    assert est.half_width == 0.0
 
 
 def test_sigma2_value_and_method_agreement(model):
@@ -189,15 +189,13 @@ def test_sigma2_value_and_method_agreement(model):
     tuples = model.sample_positions((10_000, 4), np.random.default_rng(13))
     fv, gt, k_max = _window_inputs("section7", tuples, 0)
     assert k_max == 3 and len(list(_engine.window_kernel_terms(fv, gt))) <= 3
-    assert closed.total == pytest.approx(closed.sigma1_sq + closed.sigma2_sq.point, rel=1e-12)
     # reference value of the selection-noise component, by quadrature
-    assert closed.sigma2_sq.point == pytest.approx(0.07930644853977625,
-                                                   abs=6 * closed.sigma2_sq.half_width)
+    assert closed.point == pytest.approx(0.07930644853977625, abs=6 * closed.half_width)
     # the closed form and the kernel at a fresh uniform agree within joint intervals
-    joint = closed.sigma2_sq.half_width + direct.half_width
-    assert abs(closed.sigma2_sq.point - direct.point) < joint
+    joint = closed.half_width + direct.half_width
+    assert abs(closed.point - direct.point) < joint
     # integrating the uniform out can only shrink the sampler variance
-    assert closed.sigma2_sq.half_width < direct.half_width
+    assert closed.half_width < direct.half_width
     with pytest.raises(InvalidArgument):
         sigma2_sq("section7", 0)
     with pytest.raises(InvalidArgument):
@@ -217,7 +215,7 @@ def test_expected_conditional_variance_converges_to_sigma2():
         vals[j] = conditional_variance_exact(prof, np.exp(x))
     from smclab.estimators import mean_estimate
     got = mean_estimate(vals)
-    ref = sigma2_sq("section7", 200_000, seed=6).sigma2_sq
+    ref = sigma2_sq("section7", 200_000, seed=6)
     assert abs(got.point - ref.point) < 3 * (got.half_width + ref.half_width)
 
 
@@ -362,9 +360,8 @@ def test_sigma2_sq_is_batch_invariant(monkeypatch, pair_calls):
         assert len(task(4, _engine.stream_rng(seed, 2, b))) == 1
         stops.add(len(pair_calls))
     assert len(stops) > 1, stops
-    rep = sigma2_sq(SLOPED, n, seed=seed)
     (samples,) = _engine.run_stream(task, n, seed, stream=2)
-    assert rep.sigma2_sq == mean_estimate(samples)
+    assert sigma2_sq(SLOPED, n, seed=seed) == mean_estimate(samples)
 
 
 # the sloped and the ratio-30 tables of tools/report_digests.py
@@ -403,7 +400,8 @@ def test_declared_window_bounds_the_walk(model, seed):
 def test_recursive_variance_step():
     """Two-step limit variance assembled recursively vs. simulated directly."""
     # previous-step variance of the transformed test function
-    v_prev = sigma2_sq("section7", 300_000, seed=21, transform="pf1").total
+    v_prev = (sigma1_sq("section7", section7_pf1)
+              + sigma2_sq("section7", 300_000, seed=21, transform="pf1").point)
     v2 = recursive_variance_step(v_prev, "section7", step=1, mc_particles=1000,
                                  mc_replicates=1500, seed=31)
     # direct simulation of the step-2 selected sums

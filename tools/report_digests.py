@@ -10,9 +10,11 @@ and ``compare-resamplers`` run again on two model tables, given through
 ``--config`` (printed as ``--config <name>``): a sloped table off every
 default, and a ratio-30 table whose step-0 windows reach k = 30.
 ``conjecture2`` runs again on the sloped table, where its step-2 g-mean
-comes from quadrature.  A refactor that must not move a digit prints the
-same lines before and after; compare the two outputs with ``diff``.  The
-``smclab`` package is imported from the ``src/`` next to this script.
+comes from quadrature, and ``compare-resamplers`` on the ratio-30 table
+with f shifted by 1000, where an exact variance that cancels loses digits.
+A refactor that must not move a digit prints the same lines before and
+after; compare the two outputs with ``diff``.  The ``smclab`` package is
+imported from the ``src/`` next to this script.
 """
 
 from __future__ import annotations
@@ -55,8 +57,13 @@ SLOPED = {"name": "sloped",
 RATIO30 = {"name": "ratio30",
            "g": {"form": "exp", "rate": 3.4},
            "f": {"form": "poly", "coeffs": [0.2, 1.0, -0.3]}}
+# the ratio-30 table with a large mean of f: the conditional variances are
+# those of RATIO30's f
+SHIFTED = {**RATIO30, "name": "ratio30-shifted",
+           "f": {"form": "poly", "coeffs": [1000.2, 1.0, -0.3]}}
 ON_TABLES = ("variance-step0", "clt", "compare-resamplers")
 ON_SLOPED = ("conjecture2",)
+ON_SHIFTED = ("compare-resamplers",)
 
 
 def digest(argv: list[str], model=None) -> str:
@@ -82,6 +89,7 @@ def commands():
     runs = [(experiment, None) for experiment in REPORTS]
     runs += [(experiment, table) for table in (SLOPED, RATIO30) for experiment in ON_TABLES]
     runs += [(experiment, SLOPED) for experiment in ON_SLOPED]
+    runs += [(experiment, SHIFTED) for experiment in ON_SHIFTED]
     for experiment, model in runs:
         worker_counts = [None] if experiment in SERIAL_ONLY else ["1", "2"]
         for workers in worker_counts:
