@@ -10,6 +10,11 @@ Tasks are small picklable dataclasses holding only primitives plus a
 JSON-able model reference; each call builds the model from the reference and
 maps (rows, rng) to a tuple of per-replicate value arrays.
 
+Every batch runs under one memory policy, ``keep_freed_memory``, which the
+first batch of each process sets (importing smclab does not): on glibc, the
+arrays a batch frees stay in the process for the next batch.  It changes no
+number.
+
 The span tracer ``perfbench/tracer.py`` replaces ``beta0_u_integral``,
 ``beta_pair_u_integral``, ``batched_select``, ``section7_pf1``, ``build_model``
 and the five task classes' ``__call__`` on this module, so the engine must look
@@ -18,6 +23,8 @@ them up here, as module globals at call time, or traced runs miss the layer.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -242,8 +249,33 @@ class Conjecture2Task:
         return (lhs, rhs)
 
 
+@functools.cache
+def keep_freed_memory() -> None:
+    """Let glibc keep freed batch arrays in the process, once per process.
+
+    A batch array of ``BATCH_TARGET`` doubles (3.9 MiB) sits in glibc's
+    dynamic regime: after the first free its trim threshold is 7.8 MiB, each
+    batch frees more than that at the top of the heap, and the next batch
+    faults the same pages in again.  The mmap threshold is fixed at the
+    ceiling of glibc's dynamic one on 64-bit, 32 MiB, and the trim threshold
+    at twice that, as glibc's rule pairs them: up to 64 MiB of freed memory
+    stays for reuse.  Setting either one ends the dynamic rule, so both are
+    set.  No result depends on it; without ``mallopt`` (not glibc) it does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt; Windows loads no CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _run_batch(args):
     task, seed, stream, batch, rows = args
+    keep_freed_memory()
     rng = stream_rng(seed, stream, batch)
     return task(rows, rng)
 

@@ -73,6 +73,7 @@ from ._engine import (
     SelectedSumTask,
     WeightedRatioTask,
     WindowPhiSumTask,
+    keep_freed_memory,
     run_stream,
     stream_rng,
 )
@@ -417,13 +418,19 @@ def _clt(cfg: ExperimentConfig):
 
 
 def _mc_resample_sums(kind, prof, fv, replicates, rng, block=128):
-    """Per-replicate sums of f over resampled populations, ``block`` rows at a time."""
+    """Per-replicate sums of f over resampled populations, ``block`` rows at a time.
+
+    The blocks run under the engine's memory policy (``keep_freed_memory``),
+    so each block reuses the pages the one before it freed.
+    """
+    keep_freed_memory()
     out = np.empty(replicates)
     for done in range(0, replicates, block):
         nb = min(block, replicates - done)
-        # at M = 100 a 128-row block's arrays hold 100 KiB, below glibc's
-        # default 128 KiB mmap threshold: they come from the heap, so no
-        # block maps, unmaps and faults its pages in again
+        # 128 rows share one call's set-up (the guide table; for residual,
+        # the copies and the deterministic part), while a block's arrays stay
+        # below the 32 MiB mmap threshold up to M = 32,768, so the heap keeps
+        # them for the next block
         out[done:done + nb] = fv[resample(kind, prof, rng, rows=nb)].sum(axis=1)
     return out
 

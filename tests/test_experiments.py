@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -224,6 +225,46 @@ def test_mc_resample_sums_do_not_depend_on_the_block(kind):
             for block in (1, 7, 1024, 4096)]
     for other in sums[1:]:
         assert np.array_equal(other, sums[0])
+
+
+_FAULTS_PER_BATCH = """
+import resource, sys
+import numpy as np
+from smclab import experiments, weight_profile
+from smclab._engine import SelectedSumTask, batch_rows, keep_freed_memory, run_stream
+
+assert keep_freed_memory.cache_info().currsize == 0, "importing smclab set the policy"
+
+if sys.argv[1] == "engine":
+    task = SelectedSumTask("section7", 2000, step=1)
+    rows = batch_rows(2000)
+    run = lambda batches: run_stream(task, batches * rows, 1, 0)
+else:
+    rng = np.random.default_rng(5)
+    prof = weight_profile(np.exp(3.0 * rng.random(1000)))
+    fv = rng.normal(size=1000)
+    run = lambda blocks: experiments._mc_resample_sums("stratified", prof, fv, blocks * 128, rng)
+run(1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run(int(sys.argv[2]))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / int(sys.argv[2]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the memory policy is glibc's mallopt")
+def test_engine_batches_reuse_their_pages():
+    """After one warm-up batch, engine batches (section7, M = 2000) and
+    ``_mc_resample_sums`` blocks (M = 1000) reuse the pages freed before
+    them: under 100 minor page faults each, where a heap trimmed after
+    every batch faults about 700 and 6,000.  Each loop runs in a fresh
+    interpreter, so no earlier test's frees have moved glibc's dynamic
+    thresholds; importing smclab there leaves the policy unset."""
+    for loop, batches in (("engine", 6), ("resample", 4)):
+        proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_BATCH, loop, str(batches)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 100, loop
 
 
 def test_compare_resamplers_equal_weights():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smclab import (
     InvalidArgument,
@@ -146,8 +146,25 @@ def potentials(draw, m):
     return g
 
 
+# Rows of the edge shapes, pinned as examples: hypothesis also draws the
+# literals it collects from the source, so its own examples can move with
+# unrelated edits.  TAIL_ROW's plain running sums end an ulp above M = 4
+# before the clamp.
+TAIL_ROW = np.array([2.085174948368608, 1.7414292344971325, 0.9088585404912006, 1e-300])
+DOMINANT_ROW = np.array([1.0, 1.0, 1e3, 1.0, 1.0])
+EQUAL_ROW = np.ones(5)
+
+
+def test_tail_row_passes_m_before_the_clamp():
+    m = len(TAIL_ROW)
+    assert np.cumsum(m * TAIL_ROW / TAIL_ROW.sum())[-2] > m
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=st.integers(1, 60).flatmap(potentials))
+@example(g=TAIL_ROW)
+@example(g=DOMINANT_ROW)
+@example(g=EQUAL_ROW)
 def test_profile_running_sums_non_decreasing(g):
     """Rounding before a tail of tiny weights may not lift a sum above the
     pinned S_M = M; mu, derived from the snapped fractional parts, equals
@@ -210,6 +227,8 @@ def potential_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(g=potential_rows(), seed=st.integers(0, 2**32 - 1),
        on_sums=st.lists(st.integers(0, 23), max_size=4))
+@example(g=TAIL_ROW[None, :], seed=0, on_sums=[2, 3])
+@example(g=np.stack([DOMINANT_ROW, EQUAL_ROW]), seed=1, on_sums=[2])
 def test_rowwise_ancestors_match_row_search_and_oracle(g, seed, on_sums):
     """The (rows, M) search equals the per-row search and the merge walk, on
     stratified points plus points exactly on a running sum."""
