@@ -10,10 +10,10 @@ Tasks are small picklable dataclasses holding only primitives plus a
 JSON-able model reference; each call builds the model from the reference and
 maps (rows, rng) to a tuple of per-replicate value arrays.
 
-Every batch runs under one memory policy, ``keep_freed_memory``, which the
-first batch of each process sets (importing smclab does not): on glibc, the
-arrays a batch frees stay in the process for the next batch.  It changes no
-number.
+Every batch, and ``run_filter``, runs under one memory policy,
+``keep_freed_memory``, which the first of them in each process sets
+(importing smclab does not): on glibc, the arrays a batch frees stay in the
+process for the next batch.  It changes no number.
 
 The span tracer ``perfbench/tracer.py`` replaces ``beta0_u_integral``,
 ``beta_pair_u_integral``, ``batched_select``, ``section7_pf1``, ``build_model``

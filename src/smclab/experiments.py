@@ -235,6 +235,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidConfig("workers must be >= 1")
     if cfg.seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {cfg.seed}")
+    model = build_model(cfg.model)
     if cfg.experiment == "beta-table":
         if cfg.format != "csv":
             raise InvalidConfig(f"beta-table writes CSV only, got format {cfg.format!r}")
@@ -243,7 +244,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidConfig("replicates must be >= 100")
     if "replicates2" in reads and cfg.replicates2 < 2:
         raise InvalidConfig(f"replicates2 must be >= 2, got {cfg.replicates2}")
-    model = build_model(cfg.model)
     # equal weights are a valid frozen population for compare-resamplers, but
     # the limit experiments need uniform fractional parts, and with a constant
     # potential every fractional part is 0

@@ -48,9 +48,9 @@ class WeightProfile:
     """Normalized weights plus exact cumulative bookkeeping.
 
     w:   (M,) normalized weights, sum(w) = M
-    cum: (M,) running sums S_i computed with compensated summation,
-         non-decreasing; cum[-1] is pinned to M exactly so the last stratum
-         always finds an ancestor.
+    cum: (M,) running sums S_i, compensated: within a spacing of the exact
+         sums, clamped to M so non-decreasing; cum[-1] is pinned to M exactly
+         so the last stratum always finds an ancestor.
     u:   (M+1,) fractional parts {S_i} with u[0] = 0 and u[M] = 0;
          values within SNAP_TOL of an integer are snapped to 0.
     mu:  (M+1,) integer offsets S_i - u_i + 1, which is floor(S_i) + 1

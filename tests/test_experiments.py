@@ -230,7 +230,7 @@ def test_mc_resample_sums_do_not_depend_on_the_block(kind):
 _FAULTS_PER_BATCH = """
 import resource, sys
 import numpy as np
-from smclab import experiments, weight_profile
+from smclab import build_model, experiments, run_filter, weight_profile
 from smclab._engine import SelectedSumTask, batch_rows, keep_freed_memory, run_stream
 
 assert keep_freed_memory.cache_info().currsize == 0, "importing smclab set the policy"
@@ -239,6 +239,9 @@ if sys.argv[1] == "engine":
     task = SelectedSumTask("section7", 2000, step=1)
     rows = batch_rows(2000)
     run = lambda batches: run_stream(task, batches * rows, 1, 0)
+elif sys.argv[1] == "filter":
+    model = build_model("section7")
+    run = lambda steps: run_filter(model, 2000, steps, 1)
 else:
     rng = np.random.default_rng(5)
     prof = weight_profile(np.exp(3.0 * rng.random(1000)))
@@ -248,6 +251,7 @@ run(1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run(int(sys.argv[2]))
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / int(sys.argv[2]))
+assert keep_freed_memory.cache_info().currsize == 1, "ran without the policy"
 """
 
 
@@ -259,8 +263,9 @@ def test_engine_batches_reuse_their_pages():
     them: under 100 minor page faults each, where a heap trimmed after
     every batch faults about 700 and 6,000.  Each loop runs in a fresh
     interpreter, so no earlier test's frees have moved glibc's dynamic
-    thresholds; importing smclab there leaves the policy unset."""
-    for loop, batches in (("engine", 6), ("resample", 4)):
+    thresholds; importing smclab there leaves the policy unset, and every
+    loop, ``run_filter`` (M = 2000, steps as batches) too, sets it."""
+    for loop, batches in (("engine", 6), ("resample", 4), ("filter", 4)):
         proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_BATCH, loop, str(batches)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -434,6 +439,7 @@ def test_cli_config_and_errors(tmp_path):
         ("compare-resamplers", {"particles": 300.5}),
         ("conjecture2", {"step": True}),
         ("beta-table", {"table_kind": "bogus"}),
+        ("beta-table", {"model": {"g": {"form": "exp", "rat": 3}}}),
     ]
     typed = []
     for i, (experiment, fields) in enumerate(wrong_types):
