@@ -10,10 +10,10 @@ Tasks are small picklable dataclasses holding only primitives plus a
 JSON-able model reference; each call builds the model from the reference and
 maps (rows, rng) to a tuple of per-replicate value arrays.
 
-Every batch, and ``run_filter``, runs under one memory policy,
-``keep_freed_memory``, which the first of them in each process sets
-(importing smclab does not): on glibc, the arrays a batch frees stay in the
-process for the next batch.  It changes no number.
+Every Monte Carlo stream runs under one memory policy, ``keep_freed_memory``,
+which the first ``stream_rng`` call in each process sets (importing smclab
+does not): on glibc, the arrays a batch frees stay in the process for the
+next batch.  It changes no number.
 
 The span tracer ``perfbench/tracer.py`` replaces ``beta0_u_integral``,
 ``beta_pair_u_integral``, ``batched_select``, ``section7_pf1``, ``build_model``
@@ -51,7 +51,34 @@ def batch_rows(particles: int) -> int:
     return max(1, BATCH_TARGET // max(1, particles))
 
 
+@functools.cache
+def keep_freed_memory() -> None:
+    """Let glibc keep freed batch arrays in the process, once per process.
+
+    A batch array of ``BATCH_TARGET`` doubles (3.9 MiB) sits in glibc's
+    dynamic regime: after the first free its trim threshold is 7.8 MiB, each
+    batch frees more than that at the top of the heap, and the next batch
+    faults the same pages in again.  The mmap threshold is fixed at the
+    ceiling of glibc's dynamic one on 64-bit, 32 MiB, and the trim threshold
+    at twice that, as glibc's rule pairs them: up to 64 MiB of freed memory
+    stays for reuse.  Setting either one ends the dynamic rule, so both are
+    set.  No result depends on it; without ``mallopt`` (not glibc) it does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt; Windows loads no CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def stream_rng(seed: int, stream: int, batch: int) -> np.random.Generator:
+    """The generator of batch ``batch`` of stream ``stream``; the first call
+    in a process sets the memory policy, ``keep_freed_memory``."""
+    keep_freed_memory()
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream, batch)))
     )
@@ -131,20 +158,18 @@ def transform_function(ref, transform: str):
 
 
 def _advance(model, shape, steps: int, rng: np.random.Generator):
-    """Initial (rows, M) draw plus ``steps`` selection/mutation rounds.
-
-    Returns (x, y) with x the mutated population after the last round and y
-    the last selected population (y = x when steps = 0).
-    """
-    for y, x in populations(model, shape, steps, rng):
+    """Initial (rows, M) draw plus ``steps`` selection/mutation rounds;
+    returns the mutated population X_steps (X_0 when steps = 0)."""
+    for _, x in populations(model, shape, steps, rng):
         pass
-    return x, y
+    return x
 
 
 @dataclass(frozen=True)
 class SelectedSumTask:
-    """(1/sqrt(M)) sum_m T(Y_step) with T = f or the built-in step-1
-    transform P f_1 (``transform='pf1'``)."""
+    """(1/sqrt(M)) sum_m T(Y_step), step >= 1, with T = f or the built-in
+    step-1 transform P f_1 (``transform='pf1'``); Y_step is round ``step``'s
+    selection on X_{step-1}, and no mutation is drawn after it."""
 
     model_ref: object
     particles: int
@@ -152,9 +177,12 @@ class SelectedSumTask:
     transform: str = "f"
 
     def __call__(self, rows: int, rng: np.random.Generator):
+        if self.step < 1:
+            raise InvalidArgument(f"selected sums start at step 1, got step {self.step}")
         fn = transform_function(self.model_ref, self.transform)
         model = build_model(self.model_ref)
-        _, y = _advance(model, (rows, self.particles), self.step, rng)
+        x = _advance(model, (rows, self.particles), self.step - 1, rng)
+        y = batched_select(x, model.potential(self.step - 1).fn(x), rng)
         vals = np.asarray((fn or model.f)(y), dtype=float).sum(axis=1) / math.sqrt(self.particles)
         return (vals,)
 
@@ -170,7 +198,7 @@ class WeightedRatioTask:
 
     def __call__(self, rows: int, rng: np.random.Generator):
         model = build_model(self.model_ref)
-        x, _ = _advance(model, (rows, self.particles), self.step, rng)
+        x = _advance(model, (rows, self.particles), self.step, rng)
         g = model.potential(self.step).fn(x)
         fv = np.asarray(model.f(x), dtype=float)
         vals = math.sqrt(self.particles) * (g * fv).sum(axis=1) / g.sum(axis=1)
@@ -210,7 +238,7 @@ class WindowPhiSumTask:
     def __call__(self, rows: int, rng: np.random.Generator):
         model = build_model(self.model_ref)
         m = self.particles
-        x, _ = _advance(model, (rows, m), self.step, rng)
+        x = _advance(model, (rows, m), self.step, rng)
         gt = model.potential(self.step).fn(x) / _reference_g_mean(self.model_ref, self.step)
         fv = np.asarray(model.f(x), dtype=float)
         return (sum(term.sum(axis=1) for term in window_kernel_terms(fv, gt)) / m,)
@@ -236,7 +264,7 @@ class Conjecture2Task:
         model = build_model(self.model_ref)
         m = self.particles
         t = self.tuple_size
-        x, _ = _advance(model, (rows, m), self.step, rng)
+        x = _advance(model, (rows, m), self.step, rng)
         g = model.potential(self.step).fn(x)
         h = _window_sums(np.cumsum(x, axis=1), t)
         cum = running_weights(g)
@@ -249,35 +277,9 @@ class Conjecture2Task:
         return (lhs, rhs)
 
 
-@functools.cache
-def keep_freed_memory() -> None:
-    """Let glibc keep freed batch arrays in the process, once per process.
-
-    A batch array of ``BATCH_TARGET`` doubles (3.9 MiB) sits in glibc's
-    dynamic regime: after the first free its trim threshold is 7.8 MiB, each
-    batch frees more than that at the top of the heap, and the next batch
-    faults the same pages in again.  The mmap threshold is fixed at the
-    ceiling of glibc's dynamic one on 64-bit, 32 MiB, and the trim threshold
-    at twice that, as glibc's rule pairs them: up to 64 MiB of freed memory
-    stays for reuse.  Setting either one ends the dynamic rule, so both are
-    set.  No result depends on it; without ``mallopt`` (not glibc) it does
-    nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, TypeError):  # no mallopt; Windows loads no CDLL(None)
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def _run_batch(args):
     task, seed, stream, batch, rows = args
-    keep_freed_memory()
-    rng = stream_rng(seed, stream, batch)
-    return task(rows, rng)
+    return task(rows, stream_rng(seed, stream, batch))
 
 
 def run_stream(task, n_rep: int, seed: int, stream: int, workers: int = 1):

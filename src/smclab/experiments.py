@@ -73,7 +73,6 @@ from ._engine import (
     SelectedSumTask,
     WeightedRatioTask,
     WindowPhiSumTask,
-    keep_freed_memory,
     run_stream,
     stream_rng,
 )
@@ -420,10 +419,9 @@ def _clt(cfg: ExperimentConfig):
 def _mc_resample_sums(kind, prof, fv, replicates, rng, block=128):
     """Per-replicate sums of f over resampled populations, ``block`` rows at a time.
 
-    The blocks run under the engine's memory policy (``keep_freed_memory``),
-    so each block reuses the pages the one before it freed.
+    With ``rng`` from ``stream_rng``, the blocks run under the engine's memory
+    policy, so each block reuses the pages the one before it freed.
     """
-    keep_freed_memory()
     out = np.empty(replicates)
     for done in range(0, replicates, block):
         nb = min(block, replicates - done)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._engine import keep_freed_memory, populations, stream_rng
+from ._engine import populations, stream_rng
 from .errors import InvalidArgument
 from .model import _BOUND_TOL, ModelConfig
 from .variance import min_particles
@@ -65,7 +65,6 @@ def run_filter(model: ModelConfig, particles: int, steps: int, seed: int) -> Fil
             stacklevel=2,
         )
 
-    keep_freed_memory()
     traj = FilterTrajectory()
     gens = populations(model, (1, particles), steps, stream_rng(seed, 0, 0))
     for n, (y, x) in enumerate(gens):

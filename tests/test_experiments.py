@@ -231,7 +231,7 @@ _FAULTS_PER_BATCH = """
 import resource, sys
 import numpy as np
 from smclab import build_model, experiments, run_filter, weight_profile
-from smclab._engine import SelectedSumTask, batch_rows, keep_freed_memory, run_stream
+from smclab._engine import SelectedSumTask, batch_rows, keep_freed_memory, run_stream, stream_rng
 
 assert keep_freed_memory.cache_info().currsize == 0, "importing smclab set the policy"
 
@@ -243,10 +243,11 @@ elif sys.argv[1] == "filter":
     model = build_model("section7")
     run = lambda steps: run_filter(model, 2000, steps, 1)
 else:
-    rng = np.random.default_rng(5)
+    rng = stream_rng(5, 1, 0)
     prof = weight_profile(np.exp(3.0 * rng.random(1000)))
     fv = rng.normal(size=1000)
     run = lambda blocks: experiments._mc_resample_sums("stratified", prof, fv, blocks * 128, rng)
+run(1)
 run(1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run(int(sys.argv[2]))
@@ -258,18 +259,31 @@ assert keep_freed_memory.cache_info().currsize == 1, "ran without the policy"
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="the memory policy is glibc's mallopt")
 def test_engine_batches_reuse_their_pages():
-    """After one warm-up batch, engine batches (section7, M = 2000) and
+    """After two warm-up batches, engine batches (section7, M = 2000) and
     ``_mc_resample_sums`` blocks (M = 1000) reuse the pages freed before
     them: under 100 minor page faults each, where a heap trimmed after
-    every batch faults about 700 and 6,000.  Each loop runs in a fresh
-    interpreter, so no earlier test's frees have moved glibc's dynamic
+    every batch faults about 700 and 6,000.  (The second batch can still
+    grow the heap by about 990 pages on first touch.)  Each loop runs in a
+    fresh interpreter, so no earlier test's frees have moved glibc's dynamic
     thresholds; importing smclab there leaves the policy unset, and every
-    loop, ``run_filter`` (M = 2000, steps as batches) too, sets it."""
+    loop, ``run_filter`` (M = 2000, steps as batches) too, sets it through
+    ``stream_rng``."""
     for loop, batches in (("engine", 6), ("resample", 4), ("filter", 4)):
         proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_BATCH, loop, str(batches)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 100, loop
+
+
+def test_stream_rng_switches_the_memory_policy_on():
+    """The first generator of a process sets the memory policy, before any
+    batch runs; importing smclab does not."""
+    script = ("from smclab._engine import keep_freed_memory, stream_rng\n"
+              "assert keep_freed_memory.cache_info().currsize == 0, 'importing smclab set the policy'\n"
+              "stream_rng(1, 0, 0)\n"
+              "assert keep_freed_memory.cache_info().currsize == 1, 'stream_rng left the policy unset'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_compare_resamplers_equal_weights():

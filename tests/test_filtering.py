@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smclab import run_filter, weight_profile
+from smclab import InvalidArgument, run_filter, weight_profile
 from smclab._engine import Conjecture2Task, SelectedSumTask, _advance, stream_rng
 from smclab.model import build_model
 from smclab.variance import _reference_g_mean
@@ -48,6 +48,21 @@ def test_run_filter_is_the_engine_loop(ref, step):
     (task_sum,) = SelectedSumTask(ref, m, step=step)(1, stream_rng(seed, 0, 0))
     rec = run_filter(model, m, step, seed).record(step)
     assert task_sum[0] == np.asarray(model.f(rec.selected), dtype=float).sum() / math.sqrt(m)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_selected_sum_draws_nothing_after_its_selection(model, step):
+    """A selected sum at step n draws the populations up to X_{n-1} and the
+    strata of round n, and no mutation after them; there is no step 0."""
+    rows, m = 4, 300
+    rng = stream_rng(7, 1, 0)
+    SelectedSumTask("section7", m, step=step)(rows, rng)
+    replay = stream_rng(7, 1, 0)
+    _advance(model, (rows, m), step - 1, replay)
+    replay.random((rows, m))
+    np.testing.assert_equal(rng.bit_generator.state, replay.bit_generator.state)
+    with pytest.raises(InvalidArgument):
+        SelectedSumTask("section7", m, step=0)(rows, stream_rng(7, 1, 0))
 
 
 def test_warns_below_window_threshold(model):
@@ -122,7 +137,7 @@ def test_conjecture2_task_matches_oracle(model, step, t):
     rows = 6
     lhs, rhs = task(rows, stream_rng(5, 1, 0))
     replay = stream_rng(5, 1, 0)
-    x, _ = _advance(model, (rows, task.particles), step, replay)
+    x = _advance(model, (rows, task.particles), step, replay)
     u = replay.random((rows, 1))
     h = lambda *cols: sum(cols)
     psi = lambda u, *w: u + sum(w)

@@ -324,7 +324,7 @@ def test_window_kernel_terms_equal_the_dense_evaluator(model, pair_calls):
     """The yielded terms equal the unmasked, every-k evaluation bit for bit
     (up to the sign of zero), every dense term past them is 0, and the pair
     kernel is never evaluated past the last live window size."""
-    x1, _ = _engine._advance(model, (6, 300), 1, _engine.stream_rng(1, 3, 0))
+    x1 = _engine._advance(model, (6, 300), 1, _engine.stream_rng(1, 3, 0))
     fv_s, gt_s, k_s = _window_inputs(SLOPED, np.random.default_rng(3).random((12, 9)), 0)
     # the stop differs between the sloped rows; only k <= 1 is live once every gt >= 1
     assert len(set(_last_live_k(gt_s))) > 1
@@ -380,7 +380,7 @@ def test_declared_window_bounds_the_walk(model, seed):
     correlation_window(0, ratio): on section7 populations at steps 0-2, on
     step-0 draws of the digest tables, and on profiles of g in [lo, hi]."""
     for step in range(3):
-        x, _ = _engine._advance(model, (8, 500), step, _engine.stream_rng(seed, 5, step))
+        x = _engine._advance(model, (8, 500), step, _engine.stream_rng(seed, 5, step))
         fv, gt, declared = _window_inputs("section7", x, step)
         assert len(list(_engine.window_kernel_terms(fv, gt))) <= declared + 1, step
     rng = np.random.default_rng(seed)
