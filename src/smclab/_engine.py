@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidArgument, SmclabError
 from .model import build_model, section7_pf1
-from .resampling import ancestors, live_windows
+from .resampling import live_windows
 from .variance import (
     beta0_u_integral,
     beta_pair_u_integral,
@@ -101,16 +101,33 @@ def running_weights(g: np.ndarray) -> np.ndarray:
 def batched_select(x: np.ndarray, g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Stratified selection row by row; returns the selected rows.
 
-    Row r draws the r-th block of M uniforms and searches its own running
-    sums with the library's row-wise ``ancestors``.  The running sums are
-    plain ``np.cumsum`` rather than the library's compensated ones, so a row
-    agrees with ``resample("stratified", ...)`` on the same draws up to
-    their rounding.
+    Row r draws the r-th block of M uniforms, so stratum m's point is
+    p_m = m - U_m in [m - 1, m], and the points never decrease.  Particle i
+    is selected by every stratum with S_{i-1} < p_m <= S_i, so it takes
+    c_i = n_i - n_{i-1} copies, where n_i counts the points at or below S_i.
+    That count needs no search: every stratum m <= floor(S_i) has its point
+    at or below S_i and every m >= floor(S_i) + 2 above it, so n_i is
+    j + (p_{j+1} <= S_i) with j = floor(S_i), the comparison a left binary
+    search makes.  A sum clamped to M clips j to M - 1, where p_M <= M.
+    Strata select in ancestor order, so repeating each particle c_i times
+    gives the selected row.
+
+    The running sums are plain ``np.cumsum`` rather than the library's
+    compensated ones, so a row agrees with ``resample("stratified", ...)``
+    on the same draws up to their rounding.
     """
     rows, m = x.shape
     cum = running_weights(g)
     strata = np.arange(1, m + 1, dtype=float)[None, :] - rng.random((rows, m))
-    return np.take_along_axis(x, ancestors(cum, strata), axis=1)
+    # the sums are >= 0, so truncation is floor; int32 counts, differenced
+    # in place once the strata and sums are freed, keep one call's peak at
+    # about 3.6 times the population's bytes
+    n = cum.astype(np.int32)
+    np.minimum(n, m - 1, out=n)
+    n += np.take_along_axis(strata, n, axis=1) <= cum
+    del strata, cum
+    n[:, 1:] -= n[:, :-1].copy()
+    return np.repeat(x.ravel(), n.ravel()).reshape(rows, m)
 
 
 def populations(model, shape, steps: int, rng: np.random.Generator):

@@ -21,10 +21,9 @@ from the conditional law and serves as an independent cross-check.
 
 Every scheme samples through :func:`resample`: stratified (the paper's
 scheme), systematic, multinomial and residual draw their query points and
-map them to ancestors with the one right-closed search :func:`ancestors`,
-which also serves the engine's row-wise selection.  On a frozen profile it
-counts the running sums below each point through a guide table of the
-integer parts, with the tie rule of a left binary search.
+map them to ancestors with the one right-closed search :func:`ancestors`.
+On a frozen profile it counts the running sums below each point through a
+guide table of the integer parts, with the tie rule of a left binary search.
 """
 
 from __future__ import annotations
@@ -110,21 +109,16 @@ def ancestors(cum, points) -> np.ndarray:
     The ancestor of p is the number of running sums below p, which is
     ``np.searchsorted(cum, p, side="left")`` exactly, ties included.
 
-    A 1-d ``cum`` (non-decreasing) is shared by every point, which lies in
-    [0, cum[-1]], so it is searched through a guide table (Chen & Asau,
-    1974): ``lo[b]`` counts the sums below the integer b, a point p starts
-    at ``lo[floor(p)]``, and a branchless binary search adds the sums in
-    [floor(p), p).  ``width``, the most sums one unit bucket holds, sets its
-    ``width.bit_length()`` passes; the ``+inf`` padding past the last sum
-    keeps every probe in range and below no point.
-
-    A (rows, M) ``cum`` is searched row by row against (rows, K) ``points``.
-    Each row is its own search: shifting rows into disjoint ranges of one
-    flat search would round a point just above a running sum onto it and
-    pick the lower ancestor.
+    The 1-d ``cum`` (non-decreasing) is shared by every point, of any
+    shape, which lies in [0, cum[-1]], so it is searched through a guide
+    table (Chen & Asau, 1974): ``lo[b]`` counts the sums below the integer
+    b, a point p starts at ``lo[floor(p)]``, and a branchless binary search
+    adds the sums in [floor(p), p).  ``width``, the most sums one unit
+    bucket holds, sets its ``width.bit_length()`` passes; the ``+inf``
+    padding past the last sum keeps every probe in range and below no point.
     """
-    if cum.ndim == 2:
-        return np.stack([np.searchsorted(c, p, side="left") for c, p in zip(cum, points)])
+    if np.ndim(cum) != 1:
+        raise InvalidArgument(f"running sums must be a 1-d array, got shape {np.shape(cum)}")
     lo = np.searchsorted(cum, np.arange(math.ceil(cum[-1]) + 2), side="left")
     width = int(np.diff(lo).max())
     pad = np.concatenate([cum, np.full(width + 1, np.inf)])

@@ -98,6 +98,13 @@ def ancestors_merge_walk(cum, points):
     return anc
 
 
+def rowwise_ancestors(cum, points):
+    """Row r of (rows, K) ``points`` searched in row r of (rows, M) running
+    sums ``cum`` with ``np.searchsorted(side="left")``, one row at a time:
+    the oracle of the engine's ``batched_select``, which counts instead."""
+    return np.stack([np.searchsorted(c, p, side="left") for c, p in zip(cum, points)])
+
+
 def systematic_variance_by_intervals(profile, f_values):
     """Systematic conditional variance one interval of the shared uniform at
     a time: an independent route for

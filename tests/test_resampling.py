@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from conftest import (
     conditional_mean,
     max_row_nnz,
     random_profile,
+    rowwise_ancestors,
     selection_coefficients_loop,
     systematic_variance_by_intervals,
 )
@@ -116,6 +118,9 @@ def test_stratified_two_particle_strata():
     assert ancestors(prof.cum, np.array([2 - 0.4])).tolist() == [1]
     # boundary resolved right-closed: query exactly 1.5 belongs to particle 0
     assert ancestors(prof.cum, np.array([1.5])).tolist() == [0]
+    # the running sums are one 1-d array shared by every point
+    with pytest.raises(InvalidArgument, match="1-d"):
+        ancestors(np.stack([prof.cum, prof.cum]), np.array([[0.5, 1.5], [0.5, 1.5]]))
 
 
 def test_stratified_ancestors_non_decreasing(rng):
@@ -266,23 +271,123 @@ def potential_rows(draw):
     return np.stack([draw(potentials(m)) for _ in range(draw(st.integers(1, 4)))])
 
 
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=potential_rows(), seed=st.integers(0, 2**32 - 1),
        on_sums=st.lists(st.integers(0, 23), max_size=4))
 @example(g=TAIL_ROW[None, :], seed=0, on_sums=[2, 3])
 @example(g=np.stack([DOMINANT_ROW, EQUAL_ROW]), seed=1, on_sums=[2])
-def test_rowwise_ancestors_match_row_search_and_oracle(g, seed, on_sums):
-    """The (rows, M) search equals the per-row search and the merge walk, on
-    stratified points plus points exactly on a running sum."""
+def test_batched_select_matches_row_search_and_oracle(g, seed, on_sums):
+    """The engine's counting selection of the particle indices equals, bit
+    for bit, each row's 1-d search and merge walk on the same strata, and
+    draws exactly one (rows, M) block of uniforms.  The row-wise left search
+    that serves as the oracle equals both on points exactly on a running
+    sum too."""
     rows, m = g.shape
     cum = running_weights(g)
-    strata = np.arange(1, m + 1) - stream_rng(seed, 0, 0).random((rows, m))
+    rng, replay = stream_rng(seed, 0, 0), stream_rng(seed, 0, 0)
+    got = batched_select(np.tile(np.arange(m), (rows, 1)), g, rng)
+    strata = np.arange(1, m + 1) - replay.random((rows, m))
+    assert repr(rng.bit_generator.state) == repr(replay.bit_generator.state)
+    assert_same_array(got, rowwise_ancestors(cum, strata))
     on_sum = cum[:, [i % m for i in on_sums]]
     points = np.sort(np.concatenate([strata, on_sum], axis=1), axis=1)
-    got = ancestors(cum, points)
+    oracle = rowwise_ancestors(cum, points)
     for r in range(rows):
-        assert np.array_equal(got[r], ancestors(cum[r], points[r]))
-        assert np.array_equal(got[r], ancestors_merge_walk(cum[r], points[r]))
+        assert_same_array(got[r], ancestors(cum[r], strata[r]))
+        assert_same_array(got[r], ancestors_merge_walk(cum[r], strata[r]))
+        assert np.array_equal(oracle[r], ancestors(cum[r], points[r]))
+        assert np.array_equal(oracle[r], ancestors_merge_walk(cum[r], points[r]))
+
+
+class FixedUniforms:
+    """A generator stub whose ``random(shape)`` returns a fixed array."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+BELOW_ONE = 1.0 - 2.0**-53
+ON_SUMS_ROW = np.array([0.6, 0.9, 0.45, 2.2, 0.35, 1.5])
+
+
+def uniforms_on_sums(g):
+    """U_m = m - S_i for the last running sum S_i in each stratum m =
+    ceil(S_i) it falls in, 0.5 elsewhere.  Both m - S_i and m - U_m are
+    exact (Sterbenz), so the point of stratum m lands on S_i."""
+    cum = running_weights(g[None, :])[0]
+    u = np.full(len(g), 0.5)
+    for s in cum[:-1]:
+        if s != math.floor(s):
+            u[math.ceil(s) - 1] = math.ceil(s) - s
+    return u
+
+
+@pytest.mark.parametrize("g, u, expected", [
+    # U = 0: every point on an integer; with equal weights on a running sum
+    (np.ones((2, 5)), np.zeros((2, 5)), [[0, 1, 2, 3, 4]] * 2),
+    (DOMINANT_ROW[None, :], np.zeros((1, 5)), [[2, 2, 2, 2, 4]]),
+    # U = 1 - 2^-53: the point of every stratum m >= 2 rounds to m - 1
+    (np.ones((1, 5)), np.full((1, 5), BELOW_ONE), [[0, 0, 1, 2, 3]]),
+    # the points of strata 1, 2, 5 land on S_1, S_3, S_5
+    (ON_SUMS_ROW[None, :], uniforms_on_sums(ON_SUMS_ROW)[None, :], [[0, 2, 3, 3, 4, 5]]),
+    # the sums before the 1e-300 weight are clamped to M = 4
+    (TAIL_ROW[None, :], np.zeros((1, 4)), [[0, 1, 1, 2]]),
+    (np.stack([TAIL_ROW] * 2), np.array([[0.5] * 4, [BELOW_ONE] * 4]), [[0, 0, 1, 2], [0, 0, 1, 1]]),
+    # 1e-300 weights leave repeated running sums and take no stratum
+    (np.array([[1.0, 1e-300, 1e-300, 1.0]]), np.zeros((1, 4)), [[0, 0, 3, 3]]),
+    (np.array([[1.0, 1e-300, 1e-300, 1.0]]), np.full((1, 4), BELOW_ONE), [[0, 0, 0, 3]]),
+    # M = 1
+    (np.array([[2.0], [1e-300]]), np.array([[0.0], [BELOW_ONE]]), [[0], [0]]),
+])
+def test_batched_select_edges(g, u, expected):
+    """Points on integers, an ulp below them and exactly on running sums,
+    a tail clamped to M, 1e-300 weights and M = 1: the counting selection
+    equals the hand-derived ancestors and the row-wise left search."""
+    rows, m = g.shape
+    strata = np.arange(1, m + 1) - u
+    cum = running_weights(g)
+    expected = np.array(expected)
+    assert np.array_equal(rowwise_ancestors(cum, strata), expected)
+    got = batched_select(np.tile(np.arange(m), (rows, 1)), g, FixedUniforms(u))
+    assert_same_array(got, expected)
+
+
+def test_batched_select_edge_points_are_as_described():
+    """The edge cases above hit what they name: the U = 1 - 2^-53 points
+    round to m - 1, the on-sum points equal their running sums, and the
+    tail row's sums reach M before its last particle."""
+    assert np.array_equal(np.arange(1, 6) - BELOW_ONE, [2.0**-53, 1, 2, 3, 4])
+    cum = running_weights(ON_SUMS_ROW[None, :])[0]
+    points = np.arange(1, 7) - uniforms_on_sums(ON_SUMS_ROW)
+    assert [points[k] == cum[i] for k, i in ((0, 0), (1, 2), (4, 4))] == [True] * 3
+    assert running_weights(TAIL_ROW[None, :])[0, -2] == 4.0
+
+
+@pytest.mark.parametrize("rows, m", [(51, 10_000), (256, 2000)])
+def test_batched_select_memory_peak(rows, m):
+    """One selection allocates at most four times the population: the
+    running sums, the strata, the int32 counts and the gathered comparison
+    points (3.63 times), where differencing into fresh arrays while the
+    sums and strata are alive reaches 6."""
+    x = stream_rng(1, 0, 1).random((rows, m))
+    g = np.exp(x)
+    rng = stream_rng(1, 0, 0)
+    batched_select(x, g, rng)
+    tracemalloc.start()
+    try:
+        batched_select(x, g, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes, peak / x.nbytes
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,8 +409,8 @@ def test_resample_rows_equal_successive_calls(g, seed, n, kind):
     ("section7", 64, 2000), ("ratio-1e3", 64, 2000), ("section7", 16, 10_000),
 ])
 def test_engine_selection_matches_library(model, weights, rows, m):
-    """The engine's row-wise search samples the law the library proves: on
-    shared uniforms both select the same ancestors."""
+    """The engine's counting selection samples the law the library proves:
+    on shared uniforms both select the same ancestors."""
     x = model.sample_positions((rows, m), stream_rng(3, 0, 1))
     g = model.potential(0)(x) if weights == "section7" else np.exp(6.9 * x)
     got = batched_select(np.tile(np.arange(m), (rows, 1)), g, stream_rng(3, 0, 0))
