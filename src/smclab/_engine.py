@@ -40,6 +40,7 @@ from .variance import (
     beta0_u_integral,
     beta_pair_u_integral,
     correlation_window,
+    snapped_frac,
     _reference_g_mean,
 )
 
@@ -89,7 +90,7 @@ def running_weights(g: np.ndarray) -> np.ndarray:
 
     Rounding can leave the sums before a tail of tiny weights an ulp above
     M; clamped to M before the pin, every row stays non-decreasing, as
-    ``ancestors`` requires.
+    ``batched_select``'s stratum count requires.
     """
     m = g.shape[1]
     cum = np.cumsum(m * g / g.sum(axis=1, keepdims=True), axis=1)
@@ -285,7 +286,7 @@ class Conjecture2Task:
         g = model.potential(self.step).fn(x)
         h = _window_sums(np.cumsum(x, axis=1), t)
         cum = running_weights(g)
-        u_prev = np.mod(np.concatenate([np.zeros((rows, 1)), cum[:, :m - t - 1]], axis=1), 1.0)
+        u_prev = np.concatenate([np.zeros((rows, 1)), snapped_frac(cum[:, :m - t - 1])], axis=1)
         lhs = (h * (u_prev + _window_sums(cum, t))).sum(axis=1) / m
 
         gt_win = _window_sums(np.cumsum(g / _reference_g_mean(self.model_ref, self.step), axis=1), t)

@@ -38,14 +38,12 @@ class EstimateWithCI:
         return (self.hi - self.lo) / 2.0
 
 
-def _central_moments(samples):
+def _centered(samples):
+    """The samples and their deviations from the sample mean."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise InvalidArgument("need at least 2 one-dimensional samples")
-    centered = x - x.mean()
-    m2 = float(np.mean(centered**2))
-    m4 = float(np.mean(centered**4))
-    return x, m2, m4
+    return x, x - x.mean()
 
 
 def variance_estimate(samples) -> EstimateWithCI:
@@ -54,14 +52,17 @@ def variance_estimate(samples) -> EstimateWithCI:
     half-width = 1.96 / sqrt(n) * sqrt(m4 - m2^2) with central moments m2,
     m4 of the samples.
     """
-    x, m2, m4 = _central_moments(samples)
+    x, centered = _centered(samples)
+    m2 = float(np.mean(centered**2))
+    m4 = float(np.mean(centered**4))
     hw = float(Z_95 / np.sqrt(len(x)) * np.sqrt(max(m4 - m2**2, 0.0)))
     return EstimateWithCI(point=m2, lo=m2 - hw, hi=m2 + hw, n=len(x))
 
 
 def mean_estimate(samples) -> EstimateWithCI:
     """Sample mean with a 95% normal interval (biased sd, divisor n)."""
-    x, m2, _ = _central_moments(samples)
+    x, centered = _centered(samples)
+    m2 = float(np.mean(centered**2))
     point = float(x.mean())
     hw = float(Z_95 / np.sqrt(len(x)) * np.sqrt(m2))
     return EstimateWithCI(point=point, lo=point - hw, hi=point + hw, n=len(x))

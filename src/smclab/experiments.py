@@ -251,15 +251,64 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"{cfg.experiment} needs a step-0 potential that is not constant on its support: "
             "with equal weights the fractional parts are all 0 and the limit split does not apply"
         )
-    needed = min_particles(model, 2 if cfg.experiment in ("variance-step1", "conjecture2") else 1)
+    steps = 2 if cfg.experiment in ("variance-step1", "conjecture2") else 1
+    needed = min_particles(model, steps)
     if cfg.particles < needed:
         raise InvalidConfig(
             f"particles must be >= 1 + the widest correlation window = {needed}, got {cfg.particles}"
         )
+    _check_sums_finite(cfg, model, steps, needed)
     if cfg.experiment == "conjecture2" and (cfg.step not in (1, 2) or cfg.tuple_size not in (1, 2)):
         raise InvalidConfig("conjecture2 supports step in {1, 2} and tuple_size in {1, 2}")
     if cfg.experiment in ("conjecture1", "variance-step1") and cfg.model != "section7":
         raise InvalidConfig(f"{cfg.experiment} needs the built-in model's step-1 transform")
+
+
+def _check_sums_finite(cfg: ExperimentConfig, model, steps: int, windows: int) -> None:
+    """Reject a config whose Monte Carlo sums can overflow double precision.
+
+    Arithmetic on the model's declared bounds at steps 0..``steps`` and the
+    config's particle count M, checked before any stream runs:
+
+    - M x the potential's upper bound, and M x upper x F where the
+      experiment sums f (F the bound of |f| on the populations it sums),
+      must be finite: the engine's running sums of the weights and its
+      sums of g f reach them.
+      ``compare-resamplers`` runs no engine; its exact law rescales g.
+    - With F the bound of the summed function (|f|, or for ``conjecture2``,
+      whose window sums add positions, |position|), W = ``windows`` and
+      V = M F^2 W, each term of the estimators' moment sums (the square of
+      a centred sample of a mean, the fourth power of one of a variance)
+      is at most (32 V)^2 once F >= 1, and bounded by M and W alone below.
+      So the largest replicate count times (32 V)^2 must be finite.
+
+    The bounds are worst cases: an f that is nearly constant at a huge
+    value is rejected, although its centred sums would stay small.
+    """
+    m = cfg.particles
+    if cfg.experiment == "conjecture2":
+        lo, hi = model.initial_support
+        klo, khi = model.kernel(1).shift_bounds
+        top = max(abs(lo), abs(hi), abs(lo + steps * klo), abs(hi + steps * khi))
+        g_products = 1.0
+    else:
+        # f is summed on X_0 and Y_1, and on X_1 and Y_2 in the step-1 experiments
+        f_steps = 2 if cfg.experiment in ("conjecture1", "variance-step1") else 1
+        top = max(model.f_bound(n) for n in range(f_steps))
+        g_products = max(1.0, top)
+    if cfg.experiment != "compare-resamplers":
+        upper = max(model.potential(n).upper for n in range(steps + 1))
+        if not math.isfinite(m * upper * g_products):
+            raise InvalidConfig(
+                f"{m} particles x the potential's upper bound {upper:g}"
+                + ("" if g_products == 1.0 else f" x the bound of |f| {top:g}")
+                + " overflow double precision"
+            )
+    v = 32.0 * m * top * top * windows
+    if not math.isfinite(max(cfg.replicates, cfg.replicates2 or 0) * v * v):
+        summed = "the positions" if cfg.experiment == "conjecture2" else "|f|"
+        raise InvalidConfig(f"the bound {top:g} of {summed} makes the moments of the sums overflow "
+                            f"double precision at {m} particles and {windows} windows")
 
 
 def overlap_verdict(a: EstimateWithCI, b: EstimateWithCI) -> bool:

@@ -16,6 +16,7 @@ are [1, e^(n+1)].  All of its moment constants have closed forms (see
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import gauss_legendre
 from .errors import InvalidModel
 
 E = math.e
@@ -51,6 +51,9 @@ class PotentialSpec:
                 f"potential bounds must satisfy 0 < lower <= upper < inf, "
                 f"got [{self.lower}, {self.upper}]"
             )
+        if not math.isfinite(self.ratio()):
+            raise InvalidModel(f"potential bound ratio upper / lower overflows double precision "
+                               f"on [{self.lower}, {self.upper}]")
 
     def __call__(self, x):
         vals = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -80,9 +83,9 @@ class KernelSpec:
 
 def uniform_shift_kernel(lo: float = 0.0, hi: float = 1.0) -> KernelSpec:
     """Kernel P(x, .) = Uniform[x + lo, x + hi]."""
-    if not hi > lo:
-        raise InvalidModel(f"uniform shift kernel needs hi > lo, got [{lo}, {hi}]")
     width = hi - lo
+    if not 0.0 < width < math.inf:
+        raise InvalidModel(f"uniform shift kernel needs hi > lo and a finite width, got [{lo}, {hi}]")
 
     def sample(x, rng):
         x = np.asarray(x, dtype=float)
@@ -185,6 +188,13 @@ def section7_pf1(x):
 # weighted reference means by nested quadrature (generic d=1 models)
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def gauss_legendre(n):
+    """Nodes and weights on [0, 1], cached."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
 def weighted_reference_mean(model: ModelConfig, step: int, h: Callable) -> float:
     """Weighted mean of h at the given step for a d = 1 model.
 
@@ -200,17 +210,22 @@ def weighted_reference_mean(model: ModelConfig, step: int, h: Callable) -> float
     wgt = (hi - lo) * weights * (1.0 / (hi - lo))  # times the uniform density
 
     num = wgt.copy()
-    for p in range(step):
-        num = num * model.potential(p)(x)
-        # propagate through the kernel: one quadrature level per step
-        klo, khi = model.kernel(p + 1).shift_bounds
-        x = (x[:, None] + klo + (khi - klo) * nodes[None, :]).ravel()
-        num = (num[:, None] * weights[None, :]).ravel()
-    den_val = float(np.sum(num))
-    num_val = float(np.sum(num * np.asarray(h(x), dtype=float)))
+    # a product past the largest double is reported below, as an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(step):
+            num = num * model.potential(p)(x)
+            # propagate through the kernel: one quadrature level per step
+            klo, khi = model.kernel(p + 1).shift_bounds
+            x = (x[:, None] + klo + (khi - klo) * nodes[None, :]).ravel()
+            num = (num[:, None] * weights[None, :]).ravel()
+        den_val = float(np.sum(num))
+        num_val = float(np.sum(num * np.asarray(h(x), dtype=float)))
     if den_val <= 0.0:
         raise InvalidModel("weighted reference mean has non-positive denominator")
-    return num_val / den_val
+    mean = num_val / den_val
+    if not (math.isfinite(den_val) and math.isfinite(mean)):
+        raise InvalidModel(f"weighted reference mean at step {step} overflows double precision")
+    return mean
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +365,8 @@ def build_model(ref) -> ModelConfig:
     klo, khi = _number(kern.get("lo", 0.0), "kernel lo"), _number(kern.get("hi", 1.0), "kernel hi")
     g_fn, g_bounds = _build_form(table.get("g", SECTION7["g"]), "g")
     f_fn, f_bounds = _build_form(table.get("f", SECTION7["f"]), "f")
-    if not b > a:
-        raise InvalidModel("initial law needs hi > lo")
+    if not 0.0 < b - a < math.inf:
+        raise InvalidModel(f"initial law needs hi > lo and a finite width, got [{a}, {b}]")
     kernel_spec = uniform_shift_kernel(klo, khi)
 
     def support_at(n: int) -> tuple[float, float]:

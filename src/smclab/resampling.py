@@ -35,9 +35,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from ._numerics import kahan_cumsum, snapped_frac
 from .errors import InvalidArgument, InvalidModel
-from .variance import beta0, beta1
+from .variance import beta0, beta1, snapped_frac
 
 SCHEMES = ("stratified", "systematic", "multinomial", "residual")
 
@@ -67,6 +66,21 @@ class WeightProfile:
     @property
     def size(self) -> int:
         return len(self.w)
+
+
+def kahan_cumsum(values):
+    """Compensated running sums of a 1-d array (Ogita, Rump & Oishi, 2005),
+    named after the Kahan loop they replaced: the span tracer patches
+    ``resampling.kahan_cumsum``, where :func:`weight_profile` looks it up, and
+    its ``numerics.kahan_cumsum`` metric reads the name.  ``np.cumsum`` adds left to right, so TwoSum gives each step's
+    error ``e`` exactly; ``s + cumsum(e)`` is as accurate as sums in twice the
+    working precision, rounded once."""
+    v = np.asarray(values, dtype=float)
+    s = np.cumsum(v)
+    prev = np.concatenate([[0.0], s[:-1]])
+    b = s - prev
+    e = (prev - (s - b)) + (v - b)
+    return s + np.cumsum(e)
 
 
 def weight_profile(g_values) -> WeightProfile:

@@ -27,6 +27,12 @@ takes no cap; :func:`correlation_window` is the one bound declared before
 drawing (the step-0 tuple length, :func:`min_particles`).  The u-integrals
 take one array path for 0-d and array arguments, so the bits agree.
 
+The fractional parts {S_i} of running sums are taken here, by one rule,
+:func:`snapped_frac`: a part within ``SNAP_TOL`` of an integer is 0.  The
+kernels, the library's exact law (``resampling.weight_profile``) and the
+engine's ``Conjecture2Task`` all call it, so one function decides what "on
+an integer" means.
+
 Everything here is deterministic.  The variance components take a model's
 reference, not a built model; closed forms are chosen by the reference
 ``"section7"`` with its own f, never by a table's free-text name.
@@ -39,9 +45,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import snapped_frac
-from .errors import InvalidArgument
+from .errors import InvalidArgument, InvalidModel
 from .model import ModelConfig, build_model, section7_constants, weighted_reference_mean
+
+
+# Fractional parts within this distance of an integer are treated as exact.
+# The stratum bookkeeping is discontinuous at integers, so boundary values
+# produced by float cancellation must land deterministically.
+SNAP_TOL = 1e-12
+
+
+def snapped_frac(x):
+    """Fractional part with values within SNAP_TOL of an integer snapped to 0."""
+    x = np.asarray(x, dtype=float)
+    f = x - np.floor(x)
+    f = np.where((f > 1.0 - SNAP_TOL) | (f < SNAP_TOL), 0.0, f)
+    return f if f.shape else float(f)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +157,8 @@ def beta_pair_u_integral(y0, mid, yk):
 def correlation_window(k: int, ratio: float) -> int:
     """ceil(ratio * (1 + k)): how far stratified-selection correlations
     reach when the weight ratio (upper/lower potential bound) is ``ratio``."""
-    if ratio < 1.0:
-        raise InvalidArgument(f"potential bound ratio must be >= 1, got {ratio}")
+    if not 1.0 <= ratio < math.inf:
+        raise InvalidArgument(f"potential bound ratio must be finite and >= 1, got {ratio}")
     if k < 0:
         raise InvalidArgument(f"k must be >= 0, got {k}")
     return int(math.ceil(ratio * (1 + k) - 1e-12))
@@ -162,7 +181,10 @@ def _reference_g_mean(ref, step: int) -> float:
     if ref == "section7" and step in (0, 1, 2):
         return section7_constants(step)["g_mean"]
     model = build_model(ref)
-    return weighted_reference_mean(model, step, model.potential(step).fn)
+    g_mean = weighted_reference_mean(model, step, model.potential(step).fn)
+    if not g_mean > 0.0:
+        raise InvalidModel(f"the step-{step} potential's weighted mean underflows double precision")
+    return g_mean
 
 
 def _step1_recursion_terms() -> tuple[float, float]:

@@ -18,8 +18,8 @@ from smclab import (
     weight_profile,
 )
 from smclab._engine import window_kernel_terms
-from smclab._numerics import gauss_legendre
 from smclab.experiments import CSV_COLUMNS, ReportRow
+from smclab.model import gauss_legendre
 from smclab.resampling import ancestors
 from smclab.variance import _reference_g_mean
 

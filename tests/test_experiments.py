@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smclab import (
     InvalidConfig,
@@ -131,6 +132,16 @@ def test_validate_config_invariants():
     # a misspelled model-table key
     with pytest.raises(InvalidModel, match="rat"):
         validate_config(default_config("clt", model={"g": {"form": "exp", "rat": 3}}))
+    # sums that overflow at the config's particle count: 300 g f past 1e308,
+    # and conjecture2's window sums of positions near 1e300
+    heavy = {"g": {"form": "exp", "scale": 1e300}, "f": {"form": "exp", "scale": 1e6}}
+    with pytest.raises(InvalidConfig, match="bound of \\|f\\|"):
+        validate_config(default_config("clt", model=heavy, particles=300))
+    validate_config(default_config("compare-resamplers", model=heavy, particles=300))
+    far = {"initial": {"law": "uniform", "lo": 0.0, "hi": 1e300},
+           "g": {"form": "poly", "coeffs": [1.0, 1e-300]}}
+    with pytest.raises(InvalidConfig, match="positions"):
+        validate_config(default_config("conjecture2", model=far, particles=300))
 
 
 def test_validate_config_rejects_unread_fields():
@@ -498,3 +509,94 @@ def test_cli_config_and_errors(tmp_path):
         proc = _run_cli(*args)
         assert proc.returncode == 1, args
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# every model table that validates gives finite reports
+# ---------------------------------------------------------------------------
+
+# (a) step-1 potential bounds about 1e292 and 1e-316: the ratio overflows
+RATIO_OVERFLOW = {"kernel": {"kind": "uniform_shift", "lo": -1, "hi": 1e-8},
+                  "g": {"form": "exp", "scale": 1e-12, "rate": -700}}
+# (b) f near 1e300: its square overflows
+F_SQUARE_OVERFLOW = {"f": {"form": "exp", "scale": 1e300, "rate": -0.25}}
+# (c) f near 1e200: the variance of its sums overflows
+F_MOMENT_OVERFLOW = {"f": {"form": "exp", "scale": 1e200, "rate": 1}}
+# (d) g near 1e305: 2000 of them overflow the engine's sum of the weights
+G_SUM_OVERFLOW = {"g": {"form": "exp", "scale": 1e305}}
+REPORTS = ("conjecture1", "conjecture2", "variance-step0", "variance-step1", "clt",
+           "compare-resamplers")
+
+
+def _magnitude():
+    return st.floats(-300.0, 305.0).map(lambda e: 10.0**e)
+
+
+def _form():
+    def exp(scale, rate):
+        return st.fixed_dictionaries({"form": st.just("exp"), "scale": scale, "rate": rate})
+
+    coeff = st.one_of(st.floats(-3.0, 3.0), _magnitude(), _magnitude().map(lambda c: -c))
+    return st.one_of(exp(st.floats(1e-3, 1e3), st.floats(-5.0, 5.0)),
+                     exp(_magnitude(), st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, 1.0]))),
+                     st.fixed_dictionaries({"form": st.just("poly"),
+                                            "coeffs": st.lists(coeff, min_size=1, max_size=3)}))
+
+
+def _interval(key, value):
+    lo = st.one_of(st.just(0.0), st.floats(-5.0, 5.0), _magnitude(), _magnitude().map(lambda x: -x))
+    width = st.one_of(st.just(1.0), st.floats(-12.0, 3.0).map(lambda e: 10.0**e), _magnitude())
+    return st.builds(lambda a, w: {key: value, "lo": a, "hi": a + w}, lo, width)
+
+
+@st.composite
+def _model_tables(draw):
+    table = {"g": draw(_form()), "f": draw(_form())}
+    if draw(st.booleans()):
+        table["initial"] = draw(_interval("law", "uniform"))
+    if draw(st.booleans()):
+        table["kernel"] = draw(_interval("kind", "uniform_shift"))
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_model_tables(), particles=st.sampled_from([10, 300, 2000]))
+@example(table=RATIO_OVERFLOW, particles=300)
+@example(table=F_SQUARE_OVERFLOW, particles=300)
+@example(table=F_MOMENT_OVERFLOW, particles=300)
+@example(table=G_SUM_OVERFLOW, particles=2000)
+def test_model_tables_give_finite_reports_or_errors(table, particles):
+    """Every report experiment at tiny scale raises an SmclabError or
+    returns finite rows: an input error never reads as a verdict."""
+    for experiment in REPORTS:
+        overrides = dict(particles=particles, replicates=100, model=table, timing=False)
+        if "replicates2" in experiments._DESK_DEFAULTS[experiment]:
+            overrides["replicates2"] = 2
+        if experiment == "conjecture2":
+            overrides.update(step=2, tuple_size=2)
+        try:
+            report = run_experiment(default_config(experiment, **overrides))
+        except SmclabError:
+            continue
+        for row in report.rows:
+            assert np.isfinite([row.estimate, row.ci_lo, row.ci_hi]).all(), (experiment, row)
+
+
+@pytest.mark.parametrize("experiment, table, particles", [
+    ("clt", RATIO_OVERFLOW, 300),
+    ("compare-resamplers", F_SQUARE_OVERFLOW, 300),
+    ("clt", F_MOMENT_OVERFLOW, 300),
+    ("variance-step0", G_SUM_OVERFLOW, 2000),
+    ("clt", G_SUM_OVERFLOW, 2000),
+    ("conjecture2", G_SUM_OVERFLOW, 2000),
+], ids=["a-ratio", "b-f-square", "c-f-moments", "d-variance-step0", "d-clt", "d-conjecture2"])
+def test_overflowing_tables_are_cli_errors(tmp_path, capsys, experiment, table, particles):
+    """The command line rejects each table before any stream runs: exit 1
+    and an error line, no traceback."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema": 1, "experiment": experiment, "model": table}))
+    args = [experiment, "--config", str(config), "--particles", str(particles),
+            "--replicates", "200"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

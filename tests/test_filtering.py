@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from smclab import InvalidArgument, run_filter, weight_profile
-from smclab._engine import Conjecture2Task, SelectedSumTask, _advance, stream_rng
+from smclab import _engine
+from smclab._engine import Conjecture2Task, SelectedSumTask, _advance, running_weights, stream_rng
 from smclab.model import build_model
 from smclab.variance import _reference_g_mean
 
@@ -146,3 +148,34 @@ def test_conjecture2_task_matches_oracle(model, step, t):
         g = model.potential(step)(x[r])
         assert lhs[r] == pytest.approx(conjecture2_lhs(x[r], weight_profile(g), t, h, psi), rel=1e-9)
         assert rhs[r] == pytest.approx(conjecture2_rhs(x[r], g / g_mean, t, h, psi, u[r, 0]), rel=1e-9)
+
+
+def test_conjecture2_task_snaps_like_the_exact_law(model, monkeypatch):
+    """The task's bookkeeping u_{i-1} = {S_{i-1}} takes the one snapping
+    rule of ``weight_profile``: a running sum an ulp below an integer k has
+    fractional part 0, not 1 minus an ulp of k."""
+    rows, m, t, step = 4, 300, 1, 1
+    calls = []
+
+    def on_integer(g):
+        cum = running_weights(g)
+        for r in range(rows):
+            k = 3.0 + r
+            i = int(np.searchsorted(cum[r], k)) - 1  # S_i < k <= S_{i+1}
+            cum[r, i] = np.nextafter(k, 0.0)
+        calls.append(cum)
+        return cum
+
+    monkeypatch.setattr(_engine, "running_weights", on_integer)
+    lhs, _ = Conjecture2Task("section7", m, step=step, tuple_size=t)(rows, stream_rng(5, 1, 0))
+    cum = calls[-1]
+    x = _advance(model, (rows, m), step, stream_rng(5, 1, 0))
+    h = lambda *cols: sum(cols)
+    psi = lambda u, *w: u + sum(w)
+    for r in range(rows):
+        u = np.concatenate([[0.0], cum[r] - np.floor(cum[r])])
+        i = int(np.argmax(cum[r] == np.nextafter(3.0 + r, 0.0)))
+        assert u[i + 1] > 1.0 - 1e-15  # plain x - floor(x) keeps 1 - ulp
+        u[i + 1] = 0.0
+        prof = SimpleNamespace(u=u, w=np.diff(cum[r], prepend=0.0))
+        assert lhs[r] == pytest.approx(conjecture2_lhs(x[r], prof, t, h, psi), rel=1e-9)

@@ -7,7 +7,7 @@ import os
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "smclab")
 
-LAYERS = ("errors", "_numerics", "estimators", "model", "variance", "resampling",
+LAYERS = ("errors", "estimators", "model", "variance", "resampling",
           "_engine", "filtering", "experiments", "cli")
 
 
@@ -43,4 +43,4 @@ def test_modules_import_only_earlier_layers():
 
 def test_variance_is_deterministic_math():
     """No Monte Carlo in variance.py: the engine and the estimators stay out."""
-    assert smclab_imports("variance") <= {"errors", "_numerics", "model"}
+    assert smclab_imports("variance") <= {"errors", "model"}

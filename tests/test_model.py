@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from smclab import (
     InvalidArgument,
     InvalidModel,
+    PotentialSpec,
     build_model,
     run_filter,
     section7_constants,
@@ -17,6 +18,8 @@ from smclab import (
     uniform_shift_kernel,
     weighted_reference_mean,
 )
+
+from smclab.variance import _reference_g_mean
 
 from conftest import section7_pf1_sq
 
@@ -181,6 +184,31 @@ def test_custom_model_bounds_and_validation():
 def test_model_tables_reject_bools_and_non_finite_numbers(table):
     with pytest.raises(InvalidModel, match="finite number"):
         build_model(table)
+
+
+def test_model_tables_reject_overflowing_widths_and_ratios():
+    """A support or kernel wider than the largest double, a bound ratio
+    upper / lower past it, and a reference mean that overflows are errors."""
+    with pytest.raises(InvalidModel, match="finite width"):
+        build_model({"initial": {"law": "uniform", "lo": -1e308, "hi": 1e308}})
+    with pytest.raises(InvalidModel, match="finite width"):
+        uniform_shift_kernel(-1e308, 1e308)
+    with pytest.raises(InvalidModel, match="ratio"):
+        PotentialSpec(fn=np.exp, lower=1e-316, upper=1e292)
+    # step-1 bounds about 1e-316 and 1e292 on the support [-1, 1 + 1e-8]
+    tiny = build_model({"kernel": {"kind": "uniform_shift", "lo": -1, "hi": 1e-8},
+                        "g": {"form": "exp", "scale": 1e-12, "rate": -700}})
+    tiny.potential(0)
+    with pytest.raises(InvalidModel, match="ratio"):
+        tiny.potential(1)
+    # g_0 g_1 g_2 reaches 1e363: the step-2 reference mean is not a number
+    heavy = build_model({"g": {"form": "exp", "scale": 1e121}})
+    with pytest.raises(InvalidModel, match="overflows"):
+        weighted_reference_mean(heavy, 2, heavy.potential(2).fn)
+    # g_0 g_1 g_2 reaches 1e-375: the step-2 g-mean would be 0
+    light = {"g": {"form": "exp", "scale": 1e-125}}
+    with pytest.raises(InvalidModel, match="underflows"):
+        _reference_g_mean(light, 2)
 
 
 def test_section7_is_the_table_row_bit_for_bit():

@@ -19,8 +19,8 @@ from smclab import (
     weight_profile,
 )
 from smclab._engine import batched_select, running_weights, stream_rng
-from smclab._numerics import SNAP_TOL, kahan_cumsum
-from smclab.resampling import SCHEMES, ancestors
+from smclab.resampling import SCHEMES, ancestors, kahan_cumsum
+from smclab.variance import SNAP_TOL
 
 from conftest import (
     ancestors_merge_walk,

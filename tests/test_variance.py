@@ -119,8 +119,9 @@ def test_correlation_window_values():
     assert correlation_window(0, E) == 3
     assert correlation_window(5, 1.0) == 6
     assert correlation_window(8, E) == 25
-    with pytest.raises(InvalidArgument):
-        correlation_window(0, 0.5)
+    for ratio in (0.5, math.inf, math.nan):
+        with pytest.raises(InvalidArgument):
+            correlation_window(0, ratio)
 
 
 def test_min_particles_is_one_more_than_the_declared_window(monkeypatch):
