@@ -1,10 +1,10 @@
 """Batched, reproducible Monte Carlo engine behind the experiment harness.
 
 Replicates are partitioned into fixed-size batches of rows; batch b of
-stream s draws its generator from Philox seeded with
-SeedSequence(seed, spawn_key=(s, b)).  Batch boundaries depend only on the
-particle count, and results are assembled in batch order, so every output
-is bit-identical regardless of worker count or scheduling.
+stream s draws its generator from SFC64 (``STREAM_BIT_GENERATOR``) seeded
+with SeedSequence(seed, spawn_key=(s, b)).  Batch boundaries depend only on
+the particle count, and results are assembled in batch order, so every
+output is bit-identical regardless of worker count or scheduling.
 
 Tasks are small picklable dataclasses holding only primitives plus a
 JSON-able model reference; each call builds the model from the reference and
@@ -76,12 +76,18 @@ def keep_freed_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+# the bit generator of every Monte Carlo stream; a report's digits depend on it
+STREAM_BIT_GENERATOR = np.random.SFC64
+
+
 def stream_rng(seed: int, stream: int, batch: int) -> np.random.Generator:
-    """The generator of batch ``batch`` of stream ``stream``; the first call
-    in a process sets the memory policy, ``keep_freed_memory``."""
+    """The generator of batch ``batch`` of stream ``stream``: SFC64 seeded
+    with ``SeedSequence(entropy=seed, spawn_key=(stream, batch))``, so every
+    (stream, batch) pair has its own independent stream.  The first call in
+    a process sets the memory policy, ``keep_freed_memory``."""
     keep_freed_memory()
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream, batch)))
+        STREAM_BIT_GENERATOR(np.random.SeedSequence(entropy=seed, spawn_key=(stream, batch)))
     )
 
 

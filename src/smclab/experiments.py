@@ -68,6 +68,7 @@ from typing import Optional
 import numpy as np
 
 from ._engine import (
+    STREAM_BIT_GENERATOR,
     Conjecture2Task,
     PhiTupleTask,
     SelectedSumTask,
@@ -76,7 +77,7 @@ from ._engine import (
     run_stream,
     stream_rng,
 )
-from .errors import InvalidArgument, InvalidConfig
+from .errors import InvalidArgument, InvalidConfig, SmclabError
 from .estimators import EstimateWithCI, mean_estimate, normality_check, variance_estimate
 from .model import build_model
 from .resampling import (
@@ -457,6 +458,12 @@ def _clt(cfg: ExperimentConfig):
                          cfg.replicates, cfg.seed, stream=1, workers=cfg.workers)
     s2 = sigma2_sq(cfg.model, cfg.replicates2, cfg.seed, cfg.workers)
     total = sigma1_sq(cfg.model) + s2.point
+    if not total > 0:
+        # a Monte Carlo outcome, not an input error: the estimate is too noisy
+        raise SmclabError(
+            f"the sigma2_sq estimate {s2.point:.6g} [{s2.lo:.6g}, {s2.hi:.6g}] leaves the "
+            f"predicted limit variance sigma_total = {total:.6g} non-positive; "
+            f"raise replicates2 (now {cfg.replicates2})")
     samples = t_vals - math.sqrt(cfg.particles) * selected_mean(cfg.model)
     stat, passed = normality_check(samples, 0.0, total)
     estimates = {"ks_statistic": _value(stat, n=cfg.replicates),
@@ -609,6 +616,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "seed": report.config.seed,
         "particles": report.config.particles,
         "verdict": report.verdict,
+        "stream_generator": STREAM_BIT_GENERATOR.__name__,
         "rows": [{k: v for k, v in asdict(r).items() if k != "experiment"}
                  for r in report.rows],
     }

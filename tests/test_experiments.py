@@ -23,7 +23,8 @@ from smclab import (
     sigma1_sq,
     weight_profile,
 )
-from smclab._engine import BATCH_TARGET, run_stream
+from smclab._engine import BATCH_TARGET, run_stream, stream_rng
+from smclab.estimators import EstimateWithCI
 from smclab.experiments import (
     ExperimentConfig,
     beta_table_text,
@@ -172,6 +173,7 @@ def test_csv_round_trip():
     assert parse_report_csv(text) == report.rows
     payload = json.loads(report_to_json(report))
     assert payload["verdict"] == report.verdict
+    assert payload["stream_generator"] == "SFC64"
     assert len(payload["rows"]) == len(report.rows)
 
 
@@ -297,6 +299,23 @@ def test_stream_rng_switches_the_memory_policy_on():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("seed, stream, batch", [(0, 0, 0), (1, 2, 0), (5, 92, 3), (2**40, 1, 17)])
+def test_stream_rng_is_sfc64_on_its_spawn_key(seed, stream, batch):
+    """A stream is SFC64 seeded with SeedSequence(seed, spawn_key=(stream,
+    batch)), and nothing else: a report's digits depend on that generator."""
+    rng = stream_rng(seed, stream, batch)
+    assert isinstance(rng.bit_generator, np.random.SFC64)
+    want = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream, batch))))
+    assert np.array_equal(rng.random(1000), want.random(1000))
+
+
+def test_stream_rng_streams_differ():
+    draws = {(stream, batch): stream_rng(3, stream, batch).random(8).tobytes()
+             for stream in range(4) for batch in range(4)}
+    assert len(set(draws.values())) == len(draws)
+
+
 def test_compare_resamplers_equal_weights():
     cfg = default_config("compare-resamplers", model=FLAT_MODEL, particles=64,
                          replicates=2000, seed=2, timing=False)
@@ -411,6 +430,22 @@ def test_dead_worker_is_an_error(monkeypatch, capsys):
     assert cli.main(["conjecture2", "--particles", "400", "--replicates", "100"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a worker process") and "Traceback" not in err
+
+
+def test_nonpositive_sigma_total_is_a_monte_carlo_error(monkeypatch, capsys):
+    """A sigma2_sq estimate that leaves clt's predicted variance <= 0 ends
+    the command line with exit 1 and an error line that names the estimate
+    and replicates2, not as an input error and not with a traceback."""
+    monkeypatch.setattr(experiments, "sigma2_sq",
+                        lambda *args, **kwargs: EstimateWithCI(point=-1.0, lo=-2.5, hi=0.5, n=2))
+    with pytest.raises(SmclabError) as info:
+        run_experiment(default_config("clt", particles=300, replicates=200, replicates2=2))
+    assert not isinstance(info.value, ValueError)  # every input error is a ValueError
+    assert cli.main(["clt", "--particles", "300", "--replicates", "200",
+                     "--replicates2", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sigma2_sq estimate -1 [-2.5, 0.5]"), err
+    assert "raise replicates2 (now 2)" in err and "Traceback" not in err
 
 
 def test_out_of_memory_is_an_error(monkeypatch, capsys):
